@@ -31,9 +31,24 @@ def decode_scalar(obj, field: Optional[NumberField]):
     if isinstance(obj, dict):
         if field is None:
             raise ValueError("extension coefficient without a number field")
-        return field.element([Fraction(int(n), int(d)) for n, d in obj["ext"]])
+        ext = obj.get("ext")
+        if not isinstance(ext, list):
+            raise ValueError(f"malformed extension scalar {obj!r}")
+        return field.element([_decode_fraction(c) for c in ext])
+    return _decode_fraction(obj)
+
+
+def _decode_fraction(obj) -> Fraction:
+    """[numerator, denominator] as integers or integer strings."""
+    if type(obj) is not list or len(obj) != 2:
+        raise ValueError(f"malformed scalar {obj!r}")
     n, d = obj
-    return Fraction(int(n), int(d))
+    if type(n) not in (int, str) or type(d) not in (int, str):
+        raise ValueError(f"malformed scalar {obj!r}")
+    n, d = int(n), int(d)
+    if not d:
+        raise ValueError(f"zero denominator in scalar {obj!r}")
+    return Fraction(n, d)
 
 
 def encode_poly(p: Poly) -> Dict:
@@ -44,10 +59,14 @@ def encode_poly(p: Poly) -> Dict:
 
 
 def decode_poly(obj: Dict, field: Optional[NumberField]) -> Poly:
+    nvars = int(obj["nvars"])
     terms = {}
     for e, c in obj["terms"]:
-        terms[tuple(int(k) for k in e)] = decode_scalar(c, field)
-    return Poly(int(obj["nvars"]), terms)
+        exps = tuple(int(k) for k in e)
+        if len(exps) != nvars or min(exps, default=0) < 0:
+            raise ValueError(f"malformed exponent {e!r} for {nvars} variables")
+        terms[exps] = decode_scalar(c, field)
+    return Poly(nvars, terms)
 
 
 def encode_logrational(x: LogRational) -> Dict:

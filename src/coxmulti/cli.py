@@ -17,9 +17,9 @@ from typing import Dict, List, Optional
 
 from .certificates import certificate_from_json, certificate_to_json, encode_scalar
 from .coxeter import basic_invariants, cached_arrangement
-from .engine import (BasisCertificate, EngineError, PolePolicy, SolverError,
-                     case_multiplicity_pair, equivariant_basis, make_context,
-                     theta_basis)
+from .engine import (FOUR_CASE_FAMILIES, BasisCertificate, EngineError, PolePolicy,
+                     SolverError, case_multiplicity_pair, equivariant_basis, make_context,
+                     pq_for_multiplicity, theta_basis)
 from .verify import VerificationError, invariance_check, saito_check
 
 EXIT_OK = 0
@@ -109,26 +109,50 @@ def cmd_basis(args) -> int:
     return EXIT_OK
 
 
+def _recomputed_case(arr, mult) -> Optional[str]:
+    """The case label the engine gives a basis for mult; None if it has none."""
+    if arr.family not in FOUR_CASE_FAMILIES:
+        return "rank2"
+    if not mult.is_equivariant():
+        return None
+    return str(pq_for_multiplicity(*mult.orbit_pair())[2])
+
+
 def cmd_verify(args) -> int:
     try:
         with open(args.certificate) as fh:
             cert = certificate_from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"cannot read certificate: {exc}", file=sys.stderr)
         return EXIT_USAGE
     arr = cached_arrangement(cert.family, rank=cert.params.get("rank"),
                              n=cert.params.get("n"))
-    failures: List[str] = []
+    degrees = [t.degree() for t in cert.basis]
+    homogeneous = None not in degrees
+    failures: List[str] = [f"basis element {k} is not homogeneous"
+                           for k, d in enumerate(degrees) if d is None]
+    # the claimed c is that of the basis in ascending degree (ties in file
+    # order), so a reordered basis is checked against the same c
+    basis = cert.basis
+    if homogeneous:
+        basis = [t for _, t in sorted(zip(degrees, basis), key=lambda pair: pair[0])]
     try:
-        c = saito_check(arr, cert.multiplicity, cert.basis)
+        c = saito_check(arr, cert.multiplicity, basis)
     except VerificationError as exc:
         failures.append(f"saito: {exc}")
         c = None
-    degrees = sorted(t.degree() for t in cert.basis)
-    if degrees != sorted(cert.exponents):
-        failures.append(f"degrees {degrees} do not match exponents {cert.exponents}")
+    if c is not None and c != cert.saito_c:
+        failures.append(f"claimed saito_c {encode_scalar(cert.saito_c)} "
+                        f"is not the recomputed {encode_scalar(c)}")
+    if homogeneous and sorted(degrees) != sorted(cert.exponents):
+        failures.append(f"degrees {sorted(degrees)} do not match exponents {cert.exponents}")
+    case = _recomputed_case(arr, cert.multiplicity)
+    if cert.case != case:
+        failures.append(f"claimed case {cert.case!r} is not the recomputed {case!r}")
     flags = invariance_check(cert.basis, arr.gens_W)
-    if cert.case == "1" and any(f != "fixed" for fl in flags for f in fl):
+    if cert.invariance != flags:
+        failures.append(f"claimed invariance {cert.invariance} is not the recomputed {flags}")
+    if case == "1" and any(f != "fixed" for fl in flags for f in fl):
         failures.append("odd-odd certificate is not generator-fixed")
     report = {
         "file": args.certificate,

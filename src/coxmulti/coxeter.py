@@ -71,6 +71,11 @@ class ArrangementData:
         self.Q2 = _product_of_forms(self.orbit_forms(2), rank)
         self.Q = self.Q1 * self.Q2
         self._check_generators_permute()
+        self._generators = {
+            "W": simple_generators,
+            "W1": [reflection_matrix(f) for f in self.orbit_forms(1)],
+            "W2": [reflection_matrix(f) for f in self.orbit_forms(2)],
+        }
 
     # -- basic accessors --------------------------------------------------
     def forms(self) -> List[LinearForm]:
@@ -89,20 +94,11 @@ class ArrangementData:
         raise KeyError(f"form {form} not in arrangement")
 
     def generators(self, group: str = "W") -> List[MatrixS]:
-        if group == "W":
-            return self.gens_W
-        if group == "W1":
-            return [reflection_matrix(f) for f in self.orbit_forms(1)]
-        if group == "W2":
-            return [reflection_matrix(f) for f in self.orbit_forms(2)]
-        raise ValueError(f"unknown group tag {group!r}")
-
-    def reflections(self, group: str) -> List[MatrixS]:
-        if group == "W1":
-            return [reflection_matrix(f) for f in self.orbit_forms(1)]
-        if group == "W2":
-            return [reflection_matrix(f) for f in self.orbit_forms(2)]
-        return [reflection_matrix(f) for f in self.forms()]
+        """Simple reflections for W; all orbit reflections for W1 and W2."""
+        gens = self._generators.get(group)
+        if gens is None:
+            raise ValueError(f"unknown group tag {group!r}")
+        return gens
 
     def __repr__(self):
         return f"ArrangementData({self.family}, rank {self.rank}, {len(self.hyperplanes)} hyperplanes)"
@@ -499,11 +495,22 @@ def _invariants_dihedral(arr: ArrangementData, group: str) -> InvariantSystem:
 
 
 def reynolds(f: Poly, arr: ArrangementData, group: str = "W") -> Poly:
-    """Group average of f; always invariant, a projection onto invariants."""
+    """Group average of f; always invariant, a projection onto invariants.
+
+    f o w depends only on the rows of w for the variables occurring in f
+    (x_i -> row i of w), so the elements are grouped by those rows and f is
+    substituted once per distinct tuple, weighted by the number of elements
+    sharing it: 24 substitutions instead of 1152 for an F4 seed x1^k.
+    """
     elements = arr.group_elements(group)
-    acc = Poly.zero(f.nvars)
+    used = [i for i in range(f.nvars) if any(e[i] for e in f.terms)]
+    images: Dict[Tuple, List] = {}  # rows of the used variables -> [element, count]
     for w in elements:
-        acc = acc + f.substitute_matrix(w)
+        entry = images.setdefault(tuple(w[i] for i in used), [w, 0])
+        entry[1] += 1
+    acc = Poly.zero(f.nvars)
+    for w, count in images.values():
+        acc = acc + f.substitute_matrix(w) * count
     return acc * Fraction(1, len(elements))
 
 

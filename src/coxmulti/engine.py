@@ -48,6 +48,10 @@ class PolePolicy:
 
 CASE_FRAMES = {1: "W", 2: "W1", 3: "W2", 4: "X"}
 
+# families whose orbit-1 primitive derivation is W-invariant: their bases come
+# from the four E^(p,q) cases, the others' from the rank-2 oracle route
+FOUR_CASE_FAMILIES = ("B", "F4")
+
 
 def case_multiplicity_pair(p: int, q: int, case: int) -> Tuple[int, int]:
     if case == 1:
@@ -99,8 +103,7 @@ class EpqContext:
 
     @property
     def first_case(self) -> bool:
-        """Families whose orbit-1 primitive derivation is W-invariant."""
-        return self.arr.family in ("B", "F4")
+        return self.arr.family in FOUR_CASE_FAMILIES
 
     def system(self, tag: str) -> InvariantSystem:
         return {"W": self.sys_w, "W1": self.sys_w1, "W2": self.sys_w2}[tag]

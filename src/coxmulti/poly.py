@@ -10,6 +10,7 @@ this package ever needs, since all poles sit along arrangement hyperplanes.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
@@ -20,8 +21,11 @@ Exponent = Tuple[int, ...]
 
 MINUS_INFINITY = None  # degree of the zero polynomial
 
-# shared power tables for repeated substitutions by the same matrix
-_SUBST_POWER_CACHE: Dict = {}
+# shared power tables for repeated substitutions by the same matrix, least
+# recently used evicted first; keyed by hash(matrix) -> (matrix, table) so a
+# hit hashes the matrix (tuples of Fractions, slow to hash) only once
+_SUBST_POWER_CACHE: "OrderedDict[int, Tuple[Tuple, Dict]]" = OrderedDict()
+_SUBST_CACHE_CAP = 65
 
 
 def _add_exps(a: Exponent, b: Exponent) -> Exponent:
@@ -251,14 +255,18 @@ class Poly:
     def substitute_matrix(self, m: Sequence[Sequence[Scalar]]) -> "Poly":
         """Compose with the linear change of variables x -> M x; M invertible."""
         key = tuple(tuple(row) for row in m)
-        cache = _SUBST_POWER_CACHE.get(key)
-        if cache is None:
+        h = hash(key)
+        entry = _SUBST_POWER_CACHE.get(h)
+        if entry is not None and entry[0] == key:
+            cache = entry[1]
+        else:
             if _scalar_matrix_singular(key):
                 raise ValueError("singular substitution matrix")
             cache = {}
-            if len(_SUBST_POWER_CACHE) > 64:
-                _SUBST_POWER_CACHE.clear()
-            _SUBST_POWER_CACHE[key] = cache
+            _SUBST_POWER_CACHE[h] = (key, cache)
+            if len(_SUBST_POWER_CACHE) > _SUBST_CACHE_CAP:
+                _SUBST_POWER_CACHE.popitem(last=False)
+        _SUBST_POWER_CACHE.move_to_end(h)
         images = [Poly.from_linear(row) for row in m]
         return self.substitute(images, power_cache=cache)
 

@@ -191,7 +191,7 @@ def test_criterion_8_rank2_antiinvariance(g2):
         for ctx in (g2, i8):
             d1 = ctx.D1
             assert d1 == ctx.D * ctx.arr.Q2
-            refs = ctx.arr.reflections("W2")
+            refs = ctx.arr.generators("W2")
             assert len(refs) == ctx.arr.params["n"]
             for w in refs:
                 assert group_action(w, d1) == -d1

@@ -1,4 +1,7 @@
+import copy
 import json
+
+import pytest
 
 from coxmulti.cli import main
 
@@ -92,6 +95,56 @@ def test_verify_accepts_permuted_basis(tmp_path, capsys):
     perm.write_text(json.dumps(blob))
     code, out, _ = run(capsys, "verify", str(perm))
     assert code == 0
+
+
+@pytest.fixture(scope="module")
+def b2_case1_cert(tmp_path_factory):
+    out_file = tmp_path_factory.mktemp("cert") / "cert.json"
+    assert main(["basis", "--family", "B", "--rank", "2", "--p", "1", "--q", "1",
+                 "--case", "1", "--out", str(out_file)]) == 0
+    return json.loads(out_file.read_text())
+
+
+def _verify_blob(tmp_path, capsys, blob):
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(blob))
+    return run(capsys, "verify", str(path))
+
+
+@pytest.mark.parametrize("field", ["saito_c", "case", "invariance"])
+def test_verify_rejects_false_claim(tmp_path, capsys, b2_case1_cert, field):
+    blob = copy.deepcopy(b2_case1_cert)
+    if field == "saito_c":
+        blob["saito_c"][0] = str(2 * int(blob["saito_c"][0]))
+    elif field == "case":
+        blob["case"] = "4"
+    else:
+        blob["invariance"][0][0] = "antifixed"
+    code, out, _ = _verify_blob(tmp_path, capsys, blob)
+    assert code == 4
+    assert any(field in failure for failure in json.loads(out)["failures"])
+
+
+@pytest.mark.parametrize("field", ["saito_c", "exponent"])
+def test_verify_malformed_field_is_parse_error(tmp_path, capsys, b2_case1_cert, field):
+    blob = copy.deepcopy(b2_case1_cert)
+    if field == "saito_c":
+        blob["saito_c"] = 5
+    else:  # one variable too many in a rank-2 numerator
+        blob["basis"][0]["coeffs"][0]["num"]["terms"][0][0] = [1, 1, 1]
+    code, _, err = _verify_blob(tmp_path, capsys, blob)
+    assert code == 2
+    assert "malformed" in err
+
+
+def test_verify_rejects_inhomogeneous_basis(tmp_path, capsys, b2_case1_cert):
+    blob = copy.deepcopy(b2_case1_cert)
+    num = blob["basis"][0]["coeffs"][0]["num"]
+    num["terms"].append([[0] * num["nvars"], ["1", "1"]])
+    code, out, err = _verify_blob(tmp_path, capsys, blob)
+    assert code == 4
+    assert "Traceback" not in err
+    assert "basis element 0 is not homogeneous" in json.loads(out)["failures"]
 
 
 def test_verify_parse_error(tmp_path, capsys):

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from coxmulti.coxeter import (F4_ORBIT_SWITCH, Multiplicity, basic_invariants,
-                              build_arrangement, cached_arrangement, f4_w1_invariants,
-                              reflection_matrix, reynolds, saito_matrix_G)
+from coxmulti.coxeter import (F4_ALTERNATE_SEEDS, F4_DEFAULT_SEEDS, F4_ORBIT_SWITCH,
+                              Multiplicity, basic_invariants, build_arrangement,
+                              cached_arrangement, f4_w1_invariants, reflection_matrix,
+                              reynolds, saito_matrix_G)
 from coxmulti.linalg import determinant
 from coxmulti.poly import LinearForm, LogRational, Poly, match_product_of_forms
 
@@ -123,6 +124,45 @@ def test_reynolds_is_projection(b2):
             f = f + Poly.monomial(2, e, rng.randint(-3, 3))
         once = reynolds(f, b2, "W")
         assert reynolds(once, b2, "W") == once
+
+
+def _average_over_every_element(f, arr):
+    elements = arr.group_elements("W")
+    acc = Poly.zero(f.nvars)
+    for w in elements:
+        acc = acc + f.substitute_matrix(w)
+    return acc * Fraction(1, len(elements))
+
+
+@pytest.mark.parametrize("exps", [(2,), (6,), (4, 2)])
+def test_reynolds_matches_average_over_every_element(b3, g2, f4, exps):
+    for arr in (b3, g2, f4):
+        f = Poly.monomial(arr.rank, list(exps) + [0] * (arr.rank - len(exps)))
+        assert reynolds(f, arr, "W") == _average_over_every_element(f, arr)
+
+
+def test_f4_reynolds_substitutes_once_per_short_root(f4, monkeypatch):
+    calls = []
+    substitute = Poly.substitute_matrix
+
+    def counting(self, m):
+        calls.append(m)
+        return substitute(self, m)
+
+    monkeypatch.setattr(Poly, "substitute_matrix", counting)
+    reynolds(Poly.monomial(4, [12, 0, 0, 0]), f4, "W")
+    # x1 -> (row 1 of w) . x, and the first rows of W(F4) are its 24 short roots
+    assert len(calls) == 24
+    assert len({m[0] for m in calls}) == 24
+
+
+@pytest.mark.parametrize("seeds", [F4_DEFAULT_SEEDS, F4_ALTERNATE_SEEDS])
+def test_f4_w_invariants(f4, seeds):
+    sys_w = basic_invariants(f4, "W", seeds=list(seeds))
+    assert sys_w.degrees == [2, 6, 8, 12]
+    for p in sys_w.invariants:
+        for w in f4.gens_W:
+            assert p.substitute_matrix(w) == p
 
 
 def test_orbit_products_antiinvariant_up_to_sign(b2, g2):

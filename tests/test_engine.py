@@ -73,7 +73,7 @@ def test_d2_defining_equations(b3):
 
 
 def test_g2_d1_antiinvariant(g2):
-    for w in g2.arr.reflections("W2"):
+    for w in g2.arr.generators("W2"):
         assert group_action(w, g2.D1) == -g2.D1
     # D1 = Q2 * D exactly
     assert g2.D1 == g2.D * g2.arr.Q2
@@ -274,7 +274,7 @@ def test_rank2_basis_i2_8():
 
 def test_i2_8_antiinvariance():
     i8 = make_context("I2", n=4)
-    for w in i8.arr.reflections("W2"):
+    for w in i8.arr.generators("W2"):
         assert group_action(w, i8.D1) == -i8.D1
 
 

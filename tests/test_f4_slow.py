@@ -24,6 +24,10 @@ def test_f4_seed_independence():
     polys = [[x[i, j].as_poly() for j in range(4)] for i in range(4)]
     det = bareiss_determinant(polys)
     assert det.is_constant() and det.constant_value() != 0
-    # certified exponents are seed-independent by the degree data alone
+    # X[i][j] = dP^b_j / dP^a_i, so the certified exponents are
+    # seed-independent by the degree data alone
     for i in range(4):
-        assert polys[i][i].degree() in (0, None) or polys[i][i].is_homogeneous()
+        for j in range(4):
+            entry = polys[i][j]
+            assert entry.is_zero() or (entry.is_homogeneous() and
+                                       entry.degree() == sys_b.degrees[j] - sys_a.degrees[i])

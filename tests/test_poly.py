@@ -86,6 +86,24 @@ def test_substitution_roundtrip():
         assert f.substitute_matrix(m).substitute_matrix(minv) == f
 
 
+def test_substitution_cache_keeps_matrix_in_use(monkeypatch):
+    from coxmulti import poly
+
+    # a matrix gets a new power table exactly when it is checked for singularity
+    tabled = []
+    singular = poly._scalar_matrix_singular
+    monkeypatch.setattr(poly, "_scalar_matrix_singular",
+                        lambda key: tabled.append(key) or singular(key))
+    m = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))
+    f = X ** 3 + X * Y
+    f.substitute_matrix(m)
+    for k in range(100):
+        f.substitute_matrix(((Fraction(k + 2), Fraction(0)), (Fraction(0), Fraction(1))))
+        f.substitute_matrix(m)
+    assert tabled.count(m) <= 1
+    assert len(poly._SUBST_POWER_CACHE) <= 65
+
+
 def test_order_along_examples():
     f = LogRational.from_poly(X * X * (X + Y))
     assert f.order_along(FX) == 2

@@ -95,7 +95,7 @@ def test_invariance_check_classifications(b2):
 
 
 def test_invariance_check_g2_d1(g2):
-    flags = invariance_check([g2.D1], g2.arr.reflections("W2"))
+    flags = invariance_check([g2.D1], g2.arr.generators("W2"))
     assert all(f == "antifixed" for f in flags[0])
 
 
