@@ -7,34 +7,14 @@ the multiarrangement Saito criterion and cross-checked by a brute-force
 graded oracle.
 """
 
-from .coxeter import (ArrangementData, Hyperplane, InvariantSystem, Multiplicity,
-                      basic_invariants, build_arrangement, cached_arrangement,
-                      reynolds, saito_matrix_G)
-from .derivations import (Derivation, coordinate_field, covariant_derivative, euler,
-                          group_action, log_membership, partial_derivation)
-from .engine import (BasisCertificate, EngineError, EpqContext, PolePolicy, SolverError,
-                     e_pq, equivariant_basis, forward_power, invert_covariant,
-                     m_star, make_context, primitive_decomposition,
-                     primitive_derivation, recover_zeta, recursion_step, theta_basis)
-from .poly import LinearForm, LogRational, Poly, match_product_of_forms
-from .scalars import AlgebraicNumber, NumberField, cosine_field
-from .verify import (hilbert_compare, invariance_check, invariant_basis_obstruction,
-                     mstar_experiment, oracle_module_dimension, poincare_check,
-                     saito_check)
+from .coxeter import Multiplicity
+from .derivations import euler
+from .engine import e_pq, equivariant_basis, m_star, make_context, theta_basis
+from .verify import hilbert_compare, mstar_experiment, saito_check
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraicNumber", "ArrangementData", "BasisCertificate", "Derivation",
-    "EngineError", "EpqContext", "Hyperplane", "InvariantSystem", "LinearForm",
-    "LogRational", "Multiplicity", "NumberField", "PolePolicy", "Poly",
-    "SolverError", "basic_invariants", "build_arrangement", "cached_arrangement",
-    "coordinate_field", "cosine_field", "covariant_derivative", "e_pq",
-    "equivariant_basis", "euler", "forward_power", "group_action",
-    "hilbert_compare", "invariance_check", "invariant_basis_obstruction",
-    "invert_covariant", "log_membership", "m_star", "make_context",
-    "match_product_of_forms", "mstar_experiment", "oracle_module_dimension",
-    "partial_derivation", "poincare_check", "primitive_decomposition",
-    "primitive_derivation", "recover_zeta", "recursion_step", "reynolds",
-    "saito_check", "saito_matrix_G", "theta_basis",
+    "Multiplicity", "e_pq", "equivariant_basis", "euler", "hilbert_compare", "m_star",
+    "make_context", "mstar_experiment", "saito_check", "theta_basis",
 ]

@@ -38,6 +38,27 @@ def decode_scalar(obj, field: Optional[NumberField]):
     return _decode_fraction(obj)
 
 
+def _integer(obj, what: str) -> int:
+    """A JSON integer; booleans, floats and strings are malformed."""
+    if type(obj) is not int:
+        raise ValueError(f"malformed {what} {obj!r:.40}: expected an integer")
+    return obj
+
+
+def _list(obj, what: str, length: Optional[int] = None) -> list:
+    if type(obj) is not list:
+        raise ValueError(f"malformed {what}: expected a list")
+    if length is not None and len(obj) != length:
+        raise ValueError(f"malformed {what}: expected {length} entries, got {len(obj)}")
+    return obj
+
+
+def _object(obj, what: str) -> dict:
+    if type(obj) is not dict:
+        raise ValueError(f"malformed {what}: expected an object")
+    return obj
+
+
 def _decode_fraction(obj) -> Fraction:
     """[numerator, denominator] as integers or integer strings."""
     if type(obj) is not list or len(obj) != 2:
@@ -59,10 +80,12 @@ def encode_poly(p: Poly) -> Dict:
 
 
 def decode_poly(obj: Dict, field: Optional[NumberField]) -> Poly:
-    nvars = int(obj["nvars"])
+    obj = _object(obj, "polynomial")
+    nvars = _integer(obj["nvars"], "nvars")
     terms = {}
-    for e, c in obj["terms"]:
-        exps = tuple(int(k) for k in e)
+    for term in _list(obj["terms"], "terms"):
+        e, c = _list(term, "term", 2)
+        exps = tuple(_integer(k, "exponent") for k in _list(e, "exponent"))
         if len(exps) != nvars or min(exps, default=0) < 0:
             raise ValueError(f"malformed exponent {e!r} for {nvars} variables")
         terms[exps] = decode_scalar(c, field)
@@ -78,11 +101,14 @@ def encode_logrational(x: LogRational) -> Dict:
 
 
 def decode_logrational(obj: Dict, field: Optional[NumberField]) -> LogRational:
+    obj = _object(obj, "coefficient")
     num = decode_poly(obj["num"], field)
     den = {}
-    for coeffs, e in obj["den"]:
+    for factor in _list(obj["den"], "denominator"):
+        coeffs, e = _list(factor, "denominator factor", 2)
+        coeffs = _list(coeffs, "denominator form", num.nvars)
         form = LinearForm([decode_scalar(c, field) for c in coeffs])
-        den[form] = int(e)
+        den[form] = _integer(e, "denominator exponent")
     return LogRational(num, den)
 
 
@@ -94,7 +120,12 @@ def encode_derivation(theta: Derivation) -> Dict:
 
 
 def decode_derivation(obj: Dict, field: Optional[NumberField]) -> Derivation:
-    return Derivation([decode_logrational(c, field) for c in obj["coeffs"]])
+    obj = _object(obj, "derivation")
+    coeffs = [decode_logrational(c, field) for c in _list(obj["coeffs"], "coeffs")]
+    if any(c.nvars != len(coeffs) for c in coeffs):
+        raise ValueError(f"malformed derivation: {len(coeffs)} coefficients "
+                         f"in {sorted({c.nvars for c in coeffs})} variables")
+    return Derivation(coeffs)
 
 
 def encode_multiplicity(mult: Multiplicity) -> Dict:
@@ -108,12 +139,15 @@ def encode_multiplicity(mult: Multiplicity) -> Dict:
 
 
 def decode_multiplicity(obj: Dict, arr: ArrangementData) -> Multiplicity:
+    obj = _object(obj, "multiplicity")
     if "m1" in obj:
-        return Multiplicity.from_pair(arr, int(obj["m1"]), int(obj["m2"]))
+        return Multiplicity.from_pair(arr, _integer(obj["m1"], "m1"), _integer(obj["m2"], "m2"))
     values = {}
-    for coeffs, v in obj["values"]:
+    for entry in _list(obj["values"], "multiplicity values"):
+        coeffs, v = _list(entry, "multiplicity value", 2)
+        coeffs = _list(coeffs, "hyperplane form", arr.rank)
         form = LinearForm([decode_scalar(c, arr.field) for c in coeffs])
-        values[arr.hyperplane_of(form)] = int(v)
+        values[arr.hyperplane_of(form)] = _integer(v, "multiplicity value")
     return Multiplicity(arr, values)
 
 
@@ -141,21 +175,31 @@ def certificate_to_json(cert: BasisCertificate) -> str:
 
 def arrangement_from_header(obj: Dict) -> ArrangementData:
     family = obj["family"]
-    params = obj.get("params") or {}
-    return cached_arrangement(family, rank=params.get("rank"), n=params.get("n"))
+    if type(family) is not str:
+        raise ValueError(f"malformed family {family!r:.40}")
+    params = _object(obj.get("params") or {}, "params")
+    family = family.upper()
+    rank = _integer(params.get("rank"), "params.rank") if family == "B" else None
+    n = _integer(params.get("n"), "params.n") if family == "I2" else None
+    return cached_arrangement(family, rank=rank, n=n)
 
 
 def decode_certificate(obj: Dict) -> BasisCertificate:
+    obj = _object(obj, "certificate")
     if obj.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema {obj.get('schema')!r}")
     arr = arrangement_from_header(obj)
     mult = decode_multiplicity(obj["multiplicity"], arr)
-    basis = [decode_derivation(d, arr.field) for d in obj["basis"]]
+    basis = [decode_derivation(d, arr.field)
+             for d in _list(obj["basis"], "basis", arr.rank)]
+    if any(theta.nvars != arr.rank for theta in basis):
+        raise ValueError(f"malformed basis: derivations of rank {arr.rank} expected")
     saito_c = decode_scalar(obj["saito_c"], arr.field)
     return BasisCertificate(
         family=arr.family, params=dict(arr.params), multiplicity=mult,
         case=str(obj["case"]), basis=basis,
-        exponents=[int(e) for e in obj["exponents"]], saito_c=saito_c,
+        exponents=[_integer(e, "exponent") for e in _list(obj["exponents"], "exponents")],
+        saito_c=saito_c,
         invariance=obj.get("invariance", []), route=obj.get("route", "file"),
         seeds=[tuple(s) for s in obj["seeds"]] if obj.get("seeds") else None,
     )

@@ -17,8 +17,8 @@ from typing import Dict, List, Optional
 
 from .certificates import certificate_from_json, certificate_to_json, encode_scalar
 from .coxeter import basic_invariants, cached_arrangement
-from .engine import (FOUR_CASE_FAMILIES, BasisCertificate, EngineError, PolePolicy,
-                     SolverError, case_multiplicity_pair, equivariant_basis, make_context,
+from .engine import (FOUR_CASE_FAMILIES, BasisCertificate, EngineError, SolverError,
+                     case_multiplicity_pair, equivariant_basis, make_context,
                      pq_for_multiplicity, theta_basis)
 from .verify import VerificationError, invariance_check, saito_check
 
@@ -26,13 +26,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONSTRUCTION = 3
 EXIT_VERIFICATION = 4
-
-
-def _pole_policy() -> Optional[PolePolicy]:
-    cap = os.environ.get("COXMULTI_POLE_CAP")
-    if cap is None:
-        return None
-    return PolePolicy(max_extra=int(cap))
 
 
 def _family_args(parser: argparse.ArgumentParser):
@@ -77,7 +70,7 @@ def cmd_info(args) -> int:
 
 
 def _build_certificate(args) -> BasisCertificate:
-    ctx = make_context(args.family, rank=args.rank, n=args.n, policy=_pole_policy())
+    ctx = make_context(args.family, rank=args.rank, n=args.n)
     if args.m1 is not None or args.m2 is not None:
         if args.m1 is None or args.m2 is None:
             raise ValueError("both --m1 and --m2 are required")
@@ -166,7 +159,7 @@ def cmd_verify(args) -> int:
 
 def _sweep_cell(family: str, rank: Optional[int], n: Optional[int],
                 m1: int, m2: int) -> Dict:
-    ctx = make_context(family, rank=rank, n=n, policy=_pole_policy())
+    ctx = make_context(family, rank=rank, n=n)
     start = time.monotonic()
     try:
         cert = equivariant_basis(ctx, m1, m2)

@@ -64,6 +64,9 @@ class ArrangementData:
         self.gamma = None  # field generator for the rank-2 families
         self._groups: Dict[str, List[MatrixS]] = {}
         self._systems: Dict[Tuple, "InvariantSystem"] = {}
+        # (coordinate change, monomial) -> image: adapted coordinates of a form
+        # for divisibility rows, inverse generators for the oracle's group action
+        self.monomial_images: Dict[Tuple, Poly] = {}
         forms = [h.form for h in hyperplanes]
         if len({f for f in forms}) != len(forms):
             raise ValueError("duplicate hyperplane")
@@ -338,10 +341,6 @@ class InvariantSystem:
         self._gram: Optional[Matrix] = None
 
     @property
-    def h(self) -> int:
-        return self.coxeter_number
-
-    @property
     def gram(self) -> Matrix:
         """G = J^T A J with A the identity in orthonormal coordinates."""
         if self._gram is None:
@@ -361,10 +360,6 @@ class InvariantSystem:
 
     def __repr__(self):
         return f"InvariantSystem({self.group}, degrees {self.degrees})"
-
-
-def saito_matrix_G(system: InvariantSystem) -> Matrix:
-    return system.gram
 
 
 def basic_invariants(arr: ArrangementData, group: str = "W",
@@ -538,9 +533,6 @@ class Multiplicity:
 
     def of(self, h: Hyperplane) -> int:
         return self.values[h]
-
-    def of_form(self, form: LinearForm) -> int:
-        return self.values[self.arr.hyperplane_of(form)]
 
     def is_equivariant(self) -> bool:
         for tag in (1, 2):

@@ -100,9 +100,6 @@ class Derivation:
             return None
         return degs.pop()
 
-    def is_polynomial(self) -> bool:
-        return all(c.is_poly() for c in self.coeffs)
-
     def render(self, names=None) -> str:
         if names is None:
             names = [f"x{i+1}" for i in range(self.nvars)]
@@ -183,25 +180,6 @@ def tangential_coefficients(theta: Derivation, form: LinearForm) -> List[LogRati
         else:
             out.append(c)
     return out
-
-
-def in_d_minus_infinity(theta: Derivation, arr: ArrangementData,
-                        forms: Optional[Sequence[LinearForm]] = None) -> bool:
-    """Membership in D(A, -infinity): poles only along A, tangential parts
-    regular along every hyperplane."""
-    allowed = set(arr.forms() if forms is None else forms)
-    for c in theta.coeffs:
-        for f in c.den:
-            if f not in allowed:
-                raise ValueError(f"foreign denominator form {f}")
-    check = arr.forms() if forms is None else forms
-    for form in check:
-        for c in tangential_coefficients(theta, form):
-            if c.is_zero():
-                continue
-            if c.order_along(form) < 0:
-                return False
-    return True
 
 
 def membership_witness(theta: Derivation, arr: ArrangementData,

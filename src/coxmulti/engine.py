@@ -23,7 +23,8 @@ from .derivations import (Derivation, coordinate_field, covariant_derivative, eu
 from .linalg import Matrix, solve_affine, solve_over_fractions
 from .poly import LinearForm, LogRational, Poly, form_product
 from .scalars import Scalar
-from . import verify as _verify
+from .verify import (divisibility_rows, fixed_part, invariance_check, monomials_of_degree,
+                     oracle_denominator, oracle_solution_space, saito_check)
 
 
 class SolverError(Exception):
@@ -34,17 +35,8 @@ class EngineError(Exception):
     """Internal consistency failure (a constructed basis did not verify)."""
 
 
-@dataclass
-class PolePolicy:
-    """Escalation policy for candidate denominators Q1^{N1} Q2^{N2}."""
-
-    max_extra: int = 4
-
-    def start(self, p: int, q: Optional[int]) -> Tuple[int, int]:
-        n1 = max(0, -2 * p)
-        n2 = 0 if q is None else max(0, -2 * q)
-        return n1, n2
-
+# times the candidate denominators Q1^{N1} Q2^{N2} grow before a solve gives up
+POLE_ESCALATIONS = 4
 
 CASE_FRAMES = {1: "W", 2: "W1", 3: "W2", 4: "X"}
 
@@ -79,10 +71,9 @@ def pq_for_multiplicity(m1: int, m2: int) -> Tuple[int, int, int]:
 class EpqContext:
     """Arrangement with invariant systems, primitive derivations and caches."""
 
-    def __init__(self, arr: ArrangementData, policy: Optional[PolePolicy] = None,
+    def __init__(self, arr: ArrangementData,
                  seeds: Optional[Sequence[Tuple[int, ...]]] = None):
         self.arr = arr
-        self.policy = policy or PolePolicy()
         self.sys_w = basic_invariants(arr, "W", seeds=list(seeds) if seeds else None)
         self.sys_w1 = basic_invariants(arr, "W1")
         self.sys_w2 = basic_invariants(arr, "W2")
@@ -91,7 +82,6 @@ class EpqContext:
         self.h2 = self.sys_w2.coxeter_number
         self._coord_fields: Dict[Tuple[str, int], Derivation] = {}
         self._epq: Dict[Tuple[int, int], Derivation] = {}
-        self._grad_nabla: Dict[Tuple[str, int], Derivation] = {}
         self._inv_monomial_cache: Dict[Tuple[str, Tuple[int, ...]], Poly] = {}
         self.D = primitive_derivation(self, "W")
         self.D1 = primitive_derivation(self, "W1")
@@ -139,16 +129,14 @@ _CONTEXT_CACHE: Dict[Tuple, EpqContext] = {}
 
 
 def make_context(family: str, rank: Optional[int] = None, n: Optional[int] = None,
-                 policy: Optional[PolePolicy] = None,
                  seeds: Optional[Sequence[Tuple[int, ...]]] = None) -> EpqContext:
     """Contexts are cached per configuration; they are immutable apart from
     monotone caches, so sharing across callers is safe."""
     arr = cached_arrangement(family, rank=rank, n=n)
-    key = (id(arr), tuple(seeds) if seeds else None,
-           policy.max_extra if policy else None)
+    key = (id(arr), tuple(seeds) if seeds else None)
     ctx = _CONTEXT_CACHE.get(key)
     if ctx is None:
-        ctx = EpqContext(arr, policy=policy, seeds=seeds)
+        ctx = EpqContext(arr, seeds=seeds)
         _CONTEXT_CACHE[key] = ctx
     return ctx
 
@@ -197,41 +185,6 @@ def forward_power(ctx: EpqContext, delta: Derivation, k: int, theta: Derivation)
     return out
 
 
-def _divisibility_rows(polys: List[Poly], form: LinearForm, k: int,
-                       subst_cache: Dict) -> List[List[Scalar]]:
-    """Rows asserting form^k divides every linear combination of the polys."""
-    ncand = len(polys)
-    rows: Dict[Tuple, List[Scalar]] = {}
-    if form.is_coordinate():
-        piv = form.pivot_index()
-        for t, p in enumerate(polys):
-            for e, cf in p.terms.items():
-                if e[piv] < k:
-                    row = rows.get(e)
-                    if row is None:
-                        row = [Fraction(0)] * ncand
-                        rows[e] = row
-                    row[t] = row[t] + cf
-    else:
-        from .verify import _adapted_matrix
-
-        key = ("adapted", form)
-        mat = subst_cache.get(key)
-        if mat is None:
-            mat = _adapted_matrix(form)
-            subst_cache[key] = mat
-        for t, p in enumerate(polys):
-            img = p.substitute_matrix(mat)
-            for e, cf in img.terms.items():
-                if e[0] < k:
-                    row = rows.get(e)
-                    if row is None:
-                        row = [Fraction(0)] * ncand
-                        rows[e] = row
-                    row[t] = row[t] + cf
-    return [rows[key] for key in sorted(rows)]
-
-
 def _equate_combination(cand_derivs: List[List[LogRational]],
                         target: Derivation) -> Tuple[List[List[Scalar]], List[Scalar]]:
     """Linear system: sum_t lambda_t cand[t] = target, componentwise."""
@@ -278,8 +231,7 @@ def _invariant_exponents(degrees: Sequence[int], total: int) -> List[Tuple[int, 
 
 
 def invert_covariant(ctx: EpqContext, delta_tag: str, zeta: Derivation,
-                     target_pq: Tuple[int, Optional[int]],
-                     pole_bounds: Optional[Tuple[int, int]] = None) -> Derivation:
+                     target_pq: Tuple[int, Optional[int]]) -> Derivation:
     """The unique eta in the invariant module with nabla_delta eta = zeta.
 
     delta_tag "D" solves in D(A,-infinity)^W over denominators
@@ -303,12 +255,11 @@ def invert_covariant(ctx: EpqContext, delta_tag: str, zeta: Derivation,
     if zdeg is None:
         raise ValueError("zeta must be homogeneous")
     target_deg = zdeg + hh
-    n1, n2 = pole_bounds if pole_bounds is not None else ctx.policy.start(*target_pq)
-    if delta_tag == "D1":
-        n2 = 0
-    subst_cache: Dict = {}
+    p, q = target_pq
+    n1 = max(0, -2 * p)
+    n2 = 0 if q is None else max(0, -2 * q)
     last_error = None
-    for extra in range(ctx.policy.max_extra + 1):
+    for extra in range(POLE_ESCALATIONS + 1):
         m1 = -((n1 + 2 * extra) // -2)  # ceil to even denominators
         m2 = 0 if delta_tag == "D1" else -((n2 + 2 * extra) // -2)
         den: Dict[LinearForm, int] = {}
@@ -349,7 +300,7 @@ def invert_covariant(ctx: EpqContext, delta_tag: str, zeta: Derivation,
             for j in range(rank):
                 polys = [cand[j] * norm - normal_vals[t] * avec[j]
                          for t, cand in enumerate(candidates)]
-                for row in _divisibility_rows(polys, form, k_h, subst_cache):
+                for row in divisibility_rows(arr, polys, form, k_h):
                     rows.append(row)
                     rhs.append(Fraction(0))
         cand_derivs = []
@@ -461,10 +412,10 @@ def _certify(ctx: EpqContext, mult: Multiplicity, basis: List[Derivation],
     order = sorted(range(len(basis)), key=lambda i: exps[i])
     basis = [basis[i] for i in order]
     exps = [exps[i] for i in order]
-    c = _verify.saito_check(ctx.arr, mult, basis)
+    c = saito_check(ctx.arr, mult, basis)
     if sum(exps) != mult.total():
         raise EngineError("exponent sum does not match the multiplicity total")
-    flags = _verify.invariance_check(basis, ctx.arr.gens_W)
+    flags = invariance_check(basis, ctx.arr.gens_W)
     return BasisCertificate(ctx.arr.family, dict(ctx.arr.params), mult, case, basis,
                             exps, c, flags, route, seeds=ctx.sys_w.seeds)
 
@@ -503,8 +454,7 @@ def equivariant_basis(ctx: EpqContext, m1: int, m2: int) -> BasisCertificate:
 # Rank-2 oracle construction
 # ---------------------------------------------------------------------------
 
-def rank2_basis(ctx: EpqContext, mult: Multiplicity,
-                invariant: Optional[bool] = None) -> BasisCertificate:
+def rank2_basis(ctx: EpqContext, mult: Multiplicity) -> BasisCertificate:
     """Degree-ascending greedy basis for a rank-2 multiarrangement.
 
     Every rank-2 multiarrangement is free, so collecting elements that are
@@ -515,25 +465,21 @@ def rank2_basis(ctx: EpqContext, mult: Multiplicity,
     arr = ctx.arr
     if arr.rank != 2:
         raise ValueError("rank2_basis needs a rank-2 arrangement")
-    if invariant is None:
-        invariant = mult.is_equivariant() and mult.is_odd()
+    invariant = mult.is_equivariant() and mult.is_odd()
     total = mult.total()
-    a, b = _verify._pole_exponents(arr, mult)
-    d_min = -(a + b) * len(arr.orbit(1))
+    d_min = -sum(oracle_denominator(arr, mult).values())
     selected: List[Derivation] = []
     sel_degrees: List[int] = []
     d = d_min
     cap = total - d_min + 2 * len(arr.hyperplanes) + 4
     while len(selected) < 2 and d <= cap:
-        space = _verify.oracle_solution_space(arr, mult, d)
+        space = oracle_solution_space(arr, mult, d)
         if space.dim:
-            vectors = space.vectors
-            if invariant:
-                vectors = _fixed_subspace(arr, space)
+            vectors = fixed_part(arr, space) if invariant else space.vectors
             if vectors:
                 stack = []
                 for theta, e in zip(selected, sel_degrees):
-                    for mono in _verify._monomials_of_degree(2, d - e):
+                    for mono in monomials_of_degree(2, d - e):
                         shifted = theta * Poly.monomial(2, mono)
                         stack.append(_space_coordinates(space, shifted))
                 got = _independent_extension(stack, vectors)
@@ -577,29 +523,6 @@ def _independent_extension(stack: List[List[Scalar]], vectors: List[List[Scalar]
             cur, rank0 = trial, rank1
             got.append(v)
     return got
-
-
-def _fixed_subspace(arr: ArrangementData, space) -> List[List[Scalar]]:
-    rows = []
-    for gen_idx in range(len(arr.gens_W)):
-        images = [_verify._action_on_numerators(arr, gen_idx, space, v)
-                  for v in space.vectors]
-        slots = len(space.vectors[0])
-        for s in range(slots):
-            row = [images[t][s] - space.vectors[t][s] for t in range(space.dim)]
-            if any(row):
-                rows.append(row)
-    if not rows:
-        return list(space.vectors)
-    coords = _verify.rational_nullspace(rows, ncols=space.dim)
-    out = []
-    for lam in coords:
-        vec = [Fraction(0)] * len(space.vectors[0])
-        for l, v in zip(lam, space.vectors):
-            if l:
-                vec = [x + l * y for x, y in zip(vec, v)]
-        out.append(vec)
-    return out
 
 
 # ---------------------------------------------------------------------------

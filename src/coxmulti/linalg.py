@@ -45,9 +45,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self.rows)))
 
-    def map(self, fn) -> "Matrix":
-        return Matrix([[fn(x) for x in row] for row in self.rows])
-
     def __repr__(self):
         return "Matrix([\n" + "\n".join("  " + repr(r) for r in self.rows) + "\n])"
 
@@ -286,10 +283,6 @@ def scalar_matmul(a, b):
               for j in range(len(b[0])))
         for i in range(len(a))
     )
-
-
-def scalar_identity(n: int):
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
 def scalar_inverse(m):

@@ -270,16 +270,6 @@ class Poly:
         images = [Poly.from_linear(row) for row in m]
         return self.substitute(images, power_cache=cache)
 
-    def evaluate(self, point: Sequence[Scalar]) -> Scalar:
-        total: Scalar = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    v = v * point[i] ** k
-            total = total + v
-        return total
-
     # -- division -------------------------------------------------------
     def leading(self) -> Tuple[Exponent, Scalar]:
         e = max(self.terms, key=_grlex_key)
@@ -432,21 +422,6 @@ class LinearForm:
         for c in self.coeffs:
             total = total + c * c
         return total
-
-    def proportionality(self, other: "LinearForm") -> Optional[Scalar]:
-        """Scalar c with other = c*self, or None if not proportional."""
-        ratio = None
-        for a, b in zip(self.coeffs, other.coeffs):
-            if not a and not b:
-                continue
-            if not a or not b:
-                return None
-            r = b / a
-            if ratio is None:
-                ratio = r
-            elif ratio != r:
-                return None
-        return ratio
 
     def pivot_index(self) -> int:
         return next(i for i, c in enumerate(self.coeffs) if c)

@@ -345,12 +345,6 @@ class AlgebraicNumber:
         return " + ".join(parts)
 
 
-def scalar_sign(x: Scalar) -> int:
-    if isinstance(x, AlgebraicNumber):
-        return x.sign()
-    return -1 if x < 0 else (1 if x > 0 else 0)
-
-
 def scalar_is_rational(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction))
 

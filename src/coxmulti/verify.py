@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coxeter import ArrangementData, InvariantSystem, Multiplicity
+from .coxeter import ArrangementData, InvariantSystem, Multiplicity, _apply_matrix_to_form
 from .derivations import Derivation, group_action, membership_witness
 from .linalg import Matrix, determinant, rational_nullspace, scalar_inverse
 from .poly import LinearForm, LogRational, Poly, match_product_of_forms
@@ -91,18 +91,15 @@ class OracleSpace:
             coeffs.append(LogRational(Poly(n, terms), self.den))
         return Derivation(coeffs)
 
-    def basis_derivations(self) -> List[Derivation]:
-        return [self.derivation(v) for v in self.vectors]
 
-
-def _monomials_of_degree(nvars: int, d: int) -> List[Tuple[int, ...]]:
+def monomials_of_degree(nvars: int, d: int) -> List[Tuple[int, ...]]:
     if d < 0:
         return []
     if nvars == 1:
         return [(d,)]
     out = []
     for k in range(d + 1):
-        for rest in _monomials_of_degree(nvars - 1, d - k):
+        for rest in monomials_of_degree(nvars - 1, d - k):
             out.append((k,) + rest)
     return out
 
@@ -127,22 +124,53 @@ def _adapted_matrix(form: LinearForm):
 
 
 def _monomial_image(arr: ArrangementData, cache_key, matrix, mono) -> Poly:
-    cache = getattr(arr, "_subst_cache", None)
-    if cache is None:
-        cache = {}
-        arr._subst_cache = cache
     key = (cache_key, mono)
-    img = cache.get(key)
+    img = arr.monomial_images.get(key)
     if img is None:
         img = Poly.monomial(arr.rank, mono).substitute_matrix(matrix)
-        cache[key] = img
+        arr.monomial_images[key] = img
     return img
 
 
-def _pole_exponents(arr: ArrangementData, mult: Multiplicity) -> Tuple[int, int]:
-    a = max(0, -min(mult.of(h) for h in arr.orbit(1)))
-    b = max(0, -min(mult.of(h) for h in arr.orbit(2)))
-    return a, b
+def divisibility_rows(arr: ArrangementData, polys: Sequence[Poly], form: LinearForm,
+                      k: int) -> List[List[Scalar]]:
+    """Rows over lambda asserting form^k | sum_t lambda_t polys[t].
+
+    In coordinates adapted to the form (the form itself first) a polynomial
+    is divisible by form^k exactly when no term has a lower exponent than k
+    in the first coordinate; each row asks one such term to vanish.  A
+    coordinate form reads the exponents directly.
+    """
+    rows: Dict[Tuple[int, ...], List[Scalar]] = {}
+    coordinate = form.is_coordinate()
+    low = form.pivot_index() if coordinate else 0
+    adapted = None if coordinate else _adapted_matrix(form)
+    for t, p in enumerate(polys):
+        if coordinate:
+            terms = p.terms.items()
+        else:  # keep only the low image terms before multiplying them
+            terms = ((e, c * cf) for mono, c in p.terms.items()
+                     for e, cf in _monomial_image(arr, form, adapted, mono).terms.items()
+                     if e[0] < k)
+        for e, cf in terms:
+            if e[low] < k:
+                row = rows.get(e)
+                if row is None:
+                    row = [Fraction(0)] * len(polys)
+                    rows[e] = row
+                row[t] = row[t] + cf
+    return [rows[e] for e in sorted(rows)]
+
+
+def oracle_denominator(arr: ArrangementData, mult: Multiplicity) -> Dict[LinearForm, int]:
+    """Common denominator of D(A, m): each orbit's deepest pole on all of it."""
+    den = {}
+    for tag in (1, 2):
+        pole = max(0, -min(mult.of(h) for h in arr.orbit(tag)))
+        if pole:
+            for h in arr.orbit(tag):
+                den[h.form] = pole
+    return den
 
 
 def oracle_solution_space(arr: ArrangementData, mult: Multiplicity, d: int) -> OracleSpace:
@@ -150,58 +178,31 @@ def oracle_solution_space(arr: ArrangementData, mult: Multiplicity, d: int) -> O
     if abs(d) > ORACLE_DEGREE_CAP:
         raise ValueError("degree outside the configured oracle window")
     n = arr.rank
-    a, b = _pole_exponents(arr, mult)
-    den = {}
-    for h in arr.orbit(1):
-        if a:
-            den[h.form] = a
-    for h in arr.orbit(2):
-        if b:
-            den[h.form] = b
-    num_deg = d + a * len(arr.orbit(1)) + b * len(arr.orbit(2))
+    den = oracle_denominator(arr, mult)
+    num_deg = d + sum(den.values())
     if num_deg < 0:
         return OracleSpace(arr, mult, d, den, [], [])
-    monomials = _monomials_of_degree(n, num_deg)
+    monomials = monomials_of_degree(n, num_deg)
     nm = len(monomials)
-    ncols = n * nm
-    rows: Dict[Tuple, List[Scalar]] = {}
 
-    def add_entry(key, col, value):
-        row = rows.get(key)
-        if row is None:
-            row = [Fraction(0)] * ncols
-            rows[key] = row
-        row[col] = row[col] + value
+    def component_polys(weights):
+        # column i*nm + t holds weights[i] times monomial t
+        return [Poly.monomial(n, mono, w) for w in weights for mono in monomials]
 
+    rows: List[List[Scalar]] = []
     for h in arr.hyperplanes:
         form = h.form
         avec = form.coeffs
         k_h = den.get(form, 0)
         t_order = mult.of(h) + k_h
-        if t_order <= 0 and k_h == 0:
-            continue
-        norm = form.norm_sq()
-        coordinate = form.is_coordinate()
-        piv = form.pivot_index()
-        adapted = None if coordinate else _adapted_matrix(form)
-        for t, mono in enumerate(monomials):
-            if coordinate:
-                img_terms = {mono: Fraction(1)}
-            else:
-                img_terms = _monomial_image(arr, form, adapted, mono).terms
-            for e, cf in img_terms.items():
-                low = e[piv] if coordinate else e[0]
-                for i in range(n):
-                    a_i = avec[i]
-                    col = i * nm + t
-                    if t_order > 0 and a_i and low < t_order:
-                        add_entry((form, "ord", e), col, a_i * cf)
-                    if k_h > 0 and low < k_h:
-                        for j in range(n):
-                            w = (norm if i == j else 0) - avec[j] * a_i
-                            if w:
-                                add_entry((form, "tan", j, e), col, w * cf)
-    basis = rational_nullspace([rows[k] for k in sorted(rows, key=repr)], ncols=ncols)
+        if t_order > 0:  # order of theta(alpha) along H
+            rows.extend(divisibility_rows(arr, component_polys(avec), form, t_order))
+        if k_h > 0:  # tangential part of theta has no pole along H
+            norm = form.norm_sq()
+            for j in range(n):
+                weights = [(norm if i == j else 0) - avec[j] * avec[i] for i in range(n)]
+                rows.extend(divisibility_rows(arr, component_polys(weights), form, k_h))
+    basis = rational_nullspace(rows, ncols=n * nm)
     return OracleSpace(arr, mult, d, den, monomials, basis)
 
 
@@ -219,10 +220,7 @@ def _action_on_numerators(arr: ArrangementData, gen_idx: int, space: OracleSpace
     # sign of the denominator under the substitution x -> w^{-1} x
     sign: Scalar = Fraction(1)
     for form, e in space.den.items():
-        from .coxeter import _apply_matrix_to_form
-
-        img, c = _apply_matrix_to_form(form, winv)
-        sign = sign * c ** e
+        sign = sign * _apply_matrix_to_form(form, winv)[1] ** e
     index = {m: t for t, m in enumerate(space.monomials)}
     out = [Fraction(0)] * (n * nm)
     for j in range(n):
@@ -244,11 +242,10 @@ def _action_on_numerators(arr: ArrangementData, gen_idx: int, space: OracleSpace
     return out
 
 
-def invariant_oracle_dimension(arr: ArrangementData, mult: Multiplicity, d: int) -> int:
-    """Dimension of the degree-d piece of the W-fixed part of D(A, m)."""
-    space = oracle_solution_space(arr, mult, d)
+def fixed_part(arr: ArrangementData, space: OracleSpace) -> List[List[Scalar]]:
+    """Basis of the W-fixed vectors of an oracle slice, in its coordinates."""
     if not space.vectors:
-        return 0
+        return []
     rows: List[List[Scalar]] = []
     slots = len(space.vectors[0])
     for gen_idx in range(len(arr.gens_W)):
@@ -258,8 +255,20 @@ def invariant_oracle_dimension(arr: ArrangementData, mult: Multiplicity, d: int)
             if any(row):
                 rows.append(row)
     if not rows:
-        return space.dim
-    return len(rational_nullspace(rows, ncols=space.dim))
+        return list(space.vectors)
+    out = []
+    for lam in rational_nullspace(rows, ncols=space.dim):
+        vec = [Fraction(0)] * slots
+        for l, v in zip(lam, space.vectors):
+            if l:
+                vec = [x + l * y for x, y in zip(vec, v)]
+        out.append(vec)
+    return out
+
+
+def invariant_oracle_dimension(arr: ArrangementData, mult: Multiplicity, d: int) -> int:
+    """Dimension of the degree-d piece of the W-fixed part of D(A, m)."""
+    return len(fixed_part(arr, oracle_solution_space(arr, mult, d)))
 
 
 # ---------------------------------------------------------------------------

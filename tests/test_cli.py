@@ -125,16 +125,53 @@ def test_verify_rejects_false_claim(tmp_path, capsys, b2_case1_cert, field):
     assert any(field in failure for failure in json.loads(out)["failures"])
 
 
-@pytest.mark.parametrize("field", ["saito_c", "exponent"])
+def _b2_values(value):
+    # the (1, 1) multiplicity written hyperplane by hyperplane, one entry replaced
+    forms = [[1, 0], [0, 1], [1, -1], [1, 1]]
+    return {"values": [[[[str(c), "1"] for c in f], value if k == 0 else 1]
+                       for k, f in enumerate(forms)]}
+
+
+def _coeff(blob):
+    return blob["basis"][0]["coeffs"][0]
+
+
+# each mutation breaks the certificate's schema or its shape
+MALFORMED = {
+    "saito_c": lambda b: b.update(saito_c=5),
+    # one variable too many in a rank-2 numerator
+    "exponent": lambda b: _coeff(b)["num"]["terms"][0].__setitem__(0, [1, 1, 1]),
+    "exponent_float": lambda b: _coeff(b)["num"]["terms"][0].__setitem__(0, [1.0, 0]),
+    "m1_float": lambda b: b["multiplicity"].update(m1=1.5),
+    "m1_bool": lambda b: b["multiplicity"].update(m1=True),
+    "m2_string": lambda b: b["multiplicity"].update(m2="1"),
+    "values_float": lambda b: b.update(multiplicity=_b2_values(1.5)),
+    "den_exponent_float": lambda b: _coeff(b).update(den=[[[["1", "1"], ["0", "1"]], 1.0]]),
+    "nvars_string": lambda b: _coeff(b)["num"].update(nvars="2"),
+    "nvars_3": lambda b: _coeff(b)["num"].update(nvars=3),
+    "third_coefficient": lambda b: b["basis"][0]["coeffs"].append(copy.deepcopy(_coeff(b))),
+    "third_element": lambda b: b["basis"].append(copy.deepcopy(b["basis"][0])),
+    "params_rank_3": lambda b: b.update(params={"rank": 3}),
+    "params_without_rank": lambda b: b.update(params={}),
+    "family_int": lambda b: b.update(family=7),
+}
+
+
+@pytest.mark.parametrize("field", list(MALFORMED))
 def test_verify_malformed_field_is_parse_error(tmp_path, capsys, b2_case1_cert, field):
     blob = copy.deepcopy(b2_case1_cert)
-    if field == "saito_c":
-        blob["saito_c"] = 5
-    else:  # one variable too many in a rank-2 numerator
-        blob["basis"][0]["coeffs"][0]["num"]["terms"][0][0] = [1, 1, 1]
+    MALFORMED[field](blob)
     code, _, err = _verify_blob(tmp_path, capsys, blob)
     assert code == 2
     assert "malformed" in err
+    assert "Traceback" not in err
+
+
+def test_verify_accepts_values_multiplicity(tmp_path, capsys, b2_case1_cert):
+    blob = copy.deepcopy(b2_case1_cert)
+    blob["multiplicity"] = _b2_values(1)
+    code, out, err = _verify_blob(tmp_path, capsys, blob)
+    assert code == 0, err
 
 
 def test_verify_rejects_inhomogeneous_basis(tmp_path, capsys, b2_case1_cert):

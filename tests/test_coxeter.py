@@ -6,7 +6,7 @@ import pytest
 from coxmulti.coxeter import (F4_ALTERNATE_SEEDS, F4_DEFAULT_SEEDS, F4_ORBIT_SWITCH,
                               Multiplicity, basic_invariants, build_arrangement,
                               cached_arrangement, f4_w1_invariants, reflection_matrix,
-                              reynolds, saito_matrix_G)
+                              reynolds)
 from coxmulti.linalg import determinant
 from coxmulti.poly import LinearForm, LogRational, Poly, match_product_of_forms
 
@@ -177,7 +177,7 @@ def test_orbit_products_antiinvariant_up_to_sign(b2, g2):
 
 def test_saito_matrix_g(b2):
     sys_w = basic_invariants(b2, "W")
-    g = saito_matrix_G(sys_w)
+    g = sys_w.gram
     p1 = sys_w.invariants[0]
     assert g[0, 0] == 4 * p1
     assert g[0, 1] == g[1, 0]

@@ -1,0 +1,18 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def test_traced_functions_resolve():
+    """Every function the benchmark's tracer wraps exists under its name, so
+    a rename fails here and not only in a traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [t[:2] for t in tracing.TARGETS] + [t[:2] for t in tracing.COUNTED]
+    assert targets
+    for module, path in targets:
+        owner, attr = tracing._resolve(importlib.import_module(f"coxmulti.{module}"), path)
+        assert attr in vars(owner), f"coxmulti.{module}.{path}"

@@ -1,13 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coxmulti.coxeter import Multiplicity
+from coxmulti.coxeter import Multiplicity, cached_arrangement
 from coxmulti.derivations import Derivation, euler, partial_derivation
 from coxmulti.engine import e_pq, make_context, primitive_decomposition, theta_basis
+from coxmulti.linalg import rational_nullspace
 from coxmulti.poly import LinearForm, Poly
-from coxmulti.verify import (VerificationError, free_module_dimension, hilbert_compare,
-                             invariance_check, invariant_basis_obstruction,
+from coxmulti.verify import (VerificationError, divisibility_rows, free_module_dimension,
+                             hilbert_compare, invariance_check, invariant_basis_obstruction,
                              invariant_oracle_dimension, mstar_experiment,
                              oracle_module_dimension, poincare_check, saito_check,
                              series_coefficients)
@@ -150,3 +153,41 @@ def test_invariant_oracle_dimension(b2):
     m00 = Multiplicity.from_pair(b2.arr, 0, 0)
     assert invariant_oracle_dimension(b2.arr, m00, 1) == 1
     assert invariant_oracle_dimension(b2.arr, m00, 0) == 0
+
+
+@st.composite
+def divisibility_inputs(draw):
+    """(arrangement, form, k, cofactors): small random data in 2 or 3 variables."""
+    n = draw(st.sampled_from([2, 3]))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
+    k = draw(st.integers(0, 3))
+    monomial = st.tuples(*[st.integers(0, 2)] * n)
+    poly = st.dictionaries(monomial, st.integers(-3, 3).filter(bool), max_size=4).map(
+        lambda terms: Poly(n, {e: Fraction(c) for e, c in terms.items()}))
+    cofactors = draw(st.lists(poly, min_size=1, max_size=4))
+    return cached_arrangement("B", rank=n), LinearForm(coeffs), k, cofactors
+
+
+@settings(max_examples=60, deadline=None)
+@given(divisibility_inputs(), st.data())
+def test_divisibility_rows_sound(case, data):
+    # mix divisible and non-divisible inputs and repeat one, so that the
+    # nullspace also holds combinations that cancel
+    arr, form, k, cofactors = case
+    fp = form.to_poly()
+    polys = [q * fp ** data.draw(st.integers(0, k + 1)) for q in cofactors]
+    polys.append(polys[0])
+    for lam in rational_nullspace(divisibility_rows(arr, polys, form, k), ncols=len(polys)):
+        combo = Poly.zero(arr.rank)
+        for c, p in zip(lam, polys):
+            combo = combo + p * c
+        assert combo.is_zero() or combo.multiplicity_along(form) >= k
+
+
+@settings(max_examples=60, deadline=None)
+@given(divisibility_inputs())
+def test_divisibility_rows_complete(case):
+    arr, form, k, cofactors = case
+    polys = [q * form.to_poly() ** k for q in cofactors]
+    rows = divisibility_rows(arr, polys, form, k)
+    assert len(rational_nullspace(rows, ncols=len(polys))) == len(polys)
