@@ -88,7 +88,12 @@ def decode_poly(obj: Dict, field: Optional[NumberField]) -> Poly:
         exps = tuple(_integer(k, "exponent") for k in _list(e, "exponent"))
         if len(exps) != nvars or min(exps, default=0) < 0:
             raise ValueError(f"malformed exponent {e!r} for {nvars} variables")
-        terms[exps] = decode_scalar(c, field)
+        if exps in terms:
+            raise ValueError(f"malformed polynomial: exponent {e!r} repeated")
+        c = decode_scalar(c, field)
+        if not c:  # a Poly holds nonzero coefficients only
+            raise ValueError(f"malformed term {term!r:.60}: zero coefficient")
+        terms[exps] = c
     return Poly(nvars, terms)
 
 
@@ -107,7 +112,11 @@ def decode_logrational(obj: Dict, field: Optional[NumberField]) -> LogRational:
     for factor in _list(obj["den"], "denominator"):
         coeffs, e = _list(factor, "denominator factor", 2)
         coeffs = _list(coeffs, "denominator form", num.nvars)
-        form = LinearForm([decode_scalar(c, field) for c in coeffs])
+        raw = [decode_scalar(c, field) for c in coeffs]
+        form = LinearForm(raw)
+        # normalizing would rescale the fraction by a power of a scalar
+        if any(a != b for a, b in zip(form.coeffs, raw)):
+            raise ValueError(f"malformed denominator form {coeffs!r:.60}: not normalized")
         den[form] = _integer(e, "denominator exponent")
     return LogRational(num, den)
 

@@ -1,7 +1,7 @@
 """Catalog of two-orbit reflection arrangements and their invariant theory.
 
 Families: B (any rank >= 2), F4, G2 and I2(2n) for n >= 4.  Each arrangement
-carries its hyperplanes with orbit tags, the defining products Q, Q1, Q2,
+carries its hyperplanes with orbit tags, the orbit products Q1 and Q2,
 reflection generators for the full group and for both orbit subgroups, and
 constructors for the basic invariant systems of W, W1 and W2.  Rank-2
 families live over the real cyclotomic field Q(2 cos(pi/2n)).
@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .linalg import Matrix, bareiss_determinant, scalar_matmul
-from .poly import LinearForm, Poly, normalize_form
+from .poly import LinearForm, Poly, form_product
 from .scalars import NumberField, Scalar, cosine_field, half_angle_cosines
 
 MatrixS = Tuple[Tuple[Scalar, ...], ...]
@@ -70,15 +71,24 @@ class ArrangementData:
         forms = [h.form for h in hyperplanes]
         if len({f for f in forms}) != len(forms):
             raise ValueError("duplicate hyperplane")
-        self.Q1 = _product_of_forms(self.orbit_forms(1), rank)
-        self.Q2 = _product_of_forms(self.orbit_forms(2), rank)
-        self.Q = self.Q1 * self.Q2
         self._check_generators_permute()
         self._generators = {
             "W": simple_generators,
             "W1": [reflection_matrix(f) for f in self.orbit_forms(1)],
             "W2": [reflection_matrix(f) for f in self.orbit_forms(2)],
         }
+
+    # expanded only on first use: Q2 of B_l has l! terms, and verifying a
+    # certificate must not expand it just to read the arrangement
+    @cached_property
+    def Q1(self) -> Poly:
+        """Product of the orbit-1 forms."""
+        return form_product(self.rank, {f: 1 for f in self.orbit_forms(1)})
+
+    @cached_property
+    def Q2(self) -> Poly:
+        """Product of the orbit-2 forms."""
+        return form_product(self.rank, {f: 1 for f in self.orbit_forms(2)})
 
     # -- basic accessors --------------------------------------------------
     def forms(self) -> List[LinearForm]:
@@ -112,7 +122,7 @@ class ArrangementData:
         by_form = {h.form: h.orbit for h in self.hyperplanes}
         for m in self.gens_W:
             for h in self.hyperplanes:
-                img, _ = _apply_matrix_to_form(h.form, m)
+                img, _ = h.form.image(m)
                 if img not in forms:
                     raise ValueError("generator does not permute the arrangement")
                 if by_form[img] != h.orbit:
@@ -146,26 +156,8 @@ class ArrangementData:
         """Scalar s with w(Q_tag) = s * Q_tag; always +1 or -1."""
         sign: Scalar = Fraction(1)
         for f in self.orbit_forms(tag):
-            img, c = _apply_matrix_to_form(f, m)
-            sign = sign * c
+            sign = sign * f.image(m)[1]
         return sign
-
-
-def _apply_matrix_to_form(form: LinearForm, m: MatrixS) -> Tuple[LinearForm, Scalar]:
-    """Normalized image of a covector under x -> M x, with the scale factor.
-
-    The image covector of alpha is alpha o M (row vector a^T M).
-    """
-    n = len(form.coeffs)
-    new = [form.dot([m[i][j] for i in range(n)]) for j in range(n)]
-    return normalize_form(new)
-
-
-def _product_of_forms(forms: Sequence[LinearForm], nvars: int) -> Poly:
-    out = Poly.const(nvars, 1)
-    for f in forms:
-        out = out * f.to_poly()
-    return out
 
 
 def _closure(gens: List[MatrixS], n: int, cap: int) -> List[MatrixS]:

@@ -21,7 +21,7 @@ from .coxeter import (ArrangementData, InvariantSystem, Multiplicity,
 from .derivations import (Derivation, coordinate_field, covariant_derivative, euler,
                           group_action, partial_derivation)
 from .linalg import Matrix, solve_affine, solve_over_fractions
-from .poly import LinearForm, LogRational, Poly, form_product
+from .poly import LinearForm, LogRational, Poly
 from .scalars import Scalar
 from .verify import (divisibility_rows, fixed_part, invariance_check, monomials_of_degree,
                      oracle_denominator, oracle_solution_space, saito_check)
@@ -199,9 +199,7 @@ def _equate_combination(cand_derivs: List[List[LogRational]],
             for f, kk in e.den.items():
                 common[f] = max(common.get(f, 0), kk)
         for t, e in enumerate(entries):
-            extra = {f: kk - e.den.get(f, 0) for f, kk in common.items()}
-            cleared = e.num * form_product(nvars, extra)
-            for mono, cf in cleared.terms.items():
+            for mono, cf in e.numerator_over(common).terms.items():
                 key = (j, mono)
                 if t == ncand:
                     rhs[key] = cf
@@ -500,11 +498,7 @@ def _space_coordinates(space, theta: Derivation) -> List[Scalar]:
     index = {m: t for t, m in enumerate(space.monomials)}
     out = [Fraction(0)] * (2 * nm)
     for j, c in enumerate(theta.coeffs):
-        extra = {f: k - c.den.get(f, 0) for f, k in space.den.items()}
-        if any(v < 0 for v in extra.values()):
-            raise EngineError("shifted derivation leaves the oracle denominator")
-        num = c.num * form_product(2, extra)
-        for mono, cf in num.terms.items():
+        for mono, cf in c.numerator_over(space.den).terms.items():
             out[j * nm + index[mono]] = cf
     return out
 

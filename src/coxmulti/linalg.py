@@ -49,14 +49,6 @@ class Matrix:
         return "Matrix([\n" + "\n".join("  " + repr(r) for r in self.rows) + "\n])"
 
 
-def _as_logrational(x, nvars: int) -> LogRational:
-    if isinstance(x, LogRational):
-        return x
-    if isinstance(x, Poly):
-        return LogRational.from_poly(x)
-    return LogRational.const(nvars, x)
-
-
 def _ambient_nvars(m: Matrix) -> int:
     for row in m.rows:
         for x in row:
@@ -136,7 +128,7 @@ def determinant(m: Matrix) -> LogRational:
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
     nvars = _ambient_nvars(m)
-    entries = [[_as_logrational(x, nvars) for x in row] for row in m.rows]
+    entries = [[LogRational.coerce(x, nvars) for x in row] for row in m.rows]
     if all(e.is_poly() for row in entries for e in row):
         return LogRational.from_poly(bareiss_determinant(
             [[e.as_poly() for e in row] for row in entries]))
@@ -156,13 +148,8 @@ def logrational_ratio(a: LogRational, b: LogRational,
         out = out.mul_form_power(f, e)
     rest = b.num
     for form in forms:
-        fp = form.to_poly()
-        while True:
-            q = rest.divide_exact(fp)
-            if q is None:
-                break
-            rest = q
-            out = out.mul_form_power(form, -1)
+        k, rest = rest.strip_form(form)
+        out = out.mul_form_power(form, -k)
     if rest.is_constant():
         return out * (1 / rest.constant_value())
     q = out.num.divide_exact(rest)
@@ -183,8 +170,8 @@ def solve_over_fractions(m: Matrix, rhs: Matrix,
     if m.ncols != n or rhs.nrows != n:
         raise ValueError("dimension mismatch in solve")
     nvars = _ambient_nvars(m)
-    entries = [[_as_logrational(x, nvars) for x in row] for row in m.rows]
-    rhs_entries = [[_as_logrational(x, nvars) for x in row] for row in rhs.rows]
+    entries = [[LogRational.coerce(x, nvars) for x in row] for row in m.rows]
+    rhs_entries = [[LogRational.coerce(x, nvars) for x in row] for row in rhs.rows]
     det = determinant(Matrix(entries))
     if det.is_zero():
         return None

@@ -228,32 +228,12 @@ class Poly:
                 out[tuple(e2)] = c * k
         return Poly(self.nvars, out)
 
-    def substitute(self, images: Sequence["Poly"],
-                   power_cache: Optional[Dict] = None) -> "Poly":
-        """Substitute x_i -> images[i]; images live in the same ambient ring."""
-        if len(images) != self.nvars:
-            raise ValueError("wrong number of substitution images")
-        cache: Dict = power_cache if power_cache is not None else {}
-
-        def power(i: int, k: int) -> Poly:
-            key = (i, k)
-            p = cache.get(key)
-            if p is None:
-                p = images[i] ** k
-                cache[key] = p
-            return p
-
-        acc = Poly(self.nvars)
-        for e, c in sorted(self.terms.items(), key=lambda t: _grlex_key(t[0])):
-            mono = Poly.const(self.nvars, c)
-            for i, k in enumerate(e):
-                if k:
-                    mono = mono * power(i, k)
-            acc = acc + mono
-        return acc
-
     def substitute_matrix(self, m: Sequence[Sequence[Scalar]]) -> "Poly":
-        """Compose with the linear change of variables x -> M x; M invertible."""
+        """Compose with the linear change of variables x -> M x; M invertible.
+
+        Powers of the images of the variables are shared between calls with
+        the same matrix through _SUBST_POWER_CACHE.
+        """
         key = tuple(tuple(row) for row in m)
         h = hash(key)
         entry = _SUBST_POWER_CACHE.get(h)
@@ -268,13 +248,26 @@ class Poly:
                 _SUBST_POWER_CACHE.popitem(last=False)
         _SUBST_POWER_CACHE.move_to_end(h)
         images = [Poly.from_linear(row) for row in m]
-        return self.substitute(images, power_cache=cache)
+        if len(images) != self.nvars:
+            raise ValueError("wrong number of substitution images")
+
+        def power(i: int, k: int) -> Poly:
+            p = cache.get((i, k))
+            if p is None:
+                p = images[i] ** k
+                cache[(i, k)] = p
+            return p
+
+        acc = Poly(self.nvars)
+        for e, c in sorted(self.terms.items(), key=lambda t: _grlex_key(t[0])):
+            mono = Poly.const(self.nvars, c)
+            for i, k in enumerate(e):
+                if k:
+                    mono = mono * power(i, k)
+            acc = acc + mono
+        return acc
 
     # -- division -------------------------------------------------------
-    def leading(self) -> Tuple[Exponent, Scalar]:
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
-
     def divide_exact(self, d: "Poly") -> Optional["Poly"]:
         """Quotient self/d if the division is exact, else None."""
         self._check(d)
@@ -282,7 +275,8 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if not self.terms:
             return Poly(self.nvars)
-        ed, cd = d.leading()
+        ed = max(d.terms, key=_grlex_key)
+        cd = d.terms[ed]
         rem = dict(self.terms)
         q: Dict[Exponent, Scalar] = {}
         while rem:
@@ -306,19 +300,27 @@ class Poly:
                         del rem[e]
         return Poly(self.nvars, q)
 
-    def multiplicity_along(self, form: "LinearForm") -> int:
-        """Largest k with form^k dividing self; self must be nonzero."""
+    def strip_form(self, form: "LinearForm", limit: Optional[int] = None
+                   ) -> Tuple[int, "Poly"]:
+        """(k, q) with self = form^k * q, k as large as possible but at most
+        limit (unbounded when None); self must be nonzero.
+
+        This is the one loop that divides by a hyperplane form.
+        """
         if not self.terms:
             raise ValueError("multiplicity of the zero polynomial")
         fp = form.to_poly()
-        k = 0
-        cur = self
-        while True:
-            nxt = cur.divide_exact(fp)
+        k, q = 0, self
+        while limit is None or k < limit:
+            nxt = q.divide_exact(fp)
             if nxt is None:
-                return k
-            cur = nxt
-            k += 1
+                break
+            k, q = k + 1, nxt
+        return k, q
+
+    def multiplicity_along(self, form: "LinearForm") -> int:
+        """Largest k with form^k dividing self; self must be nonzero."""
+        return self.strip_form(form)[0]
 
     # -- rendering ------------------------------------------------------
     def sorted_terms(self):
@@ -426,6 +428,14 @@ class LinearForm:
     def pivot_index(self) -> int:
         return next(i for i, c in enumerate(self.coeffs) if c)
 
+    def image(self, m) -> Tuple["LinearForm", Scalar]:
+        """The form alpha o M moved by x -> M x, normalized, with the scalar
+        c such that alpha o M = c * image (the row vector a^T M)."""
+        raw = [self.dot(col) for col in zip(*m)]
+        form = LinearForm(raw)
+        i = form.pivot_index()
+        return form, raw[i] / form.coeffs[i]
+
     def is_coordinate(self) -> bool:
         return sum(1 for c in self.coeffs if c) == 1
 
@@ -444,14 +454,6 @@ def _form_sort_key(form: LinearForm):
         else:
             out.append((0, c))
     return out
-
-
-def normalize_form(coeffs) -> Tuple[LinearForm, Scalar]:
-    """LinearForm plus the scalar c with raw = c * normalized."""
-    form = LinearForm(coeffs)
-    raw = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
-    i = form.pivot_index()
-    return form, raw[i] / form.coeffs[i]
 
 
 class LogRational:
@@ -474,15 +476,9 @@ class LogRational:
     def _reduce(self):
         for form in list(self.den):
             e = self.den[form]
-            fp = form.to_poly()
-            while e > 0:
-                q = self.num.divide_exact(fp)
-                if q is None:
-                    break
-                self.num = q
-                e -= 1
-            if e:
-                self.den[form] = e
+            k, self.num = self.num.strip_form(form, e)
+            if k < e:
+                self.den[form] = e - k
             else:
                 del self.den[form]
 
@@ -498,6 +494,15 @@ class LogRational:
     @staticmethod
     def const(nvars: int, c) -> "LogRational":
         return LogRational(Poly.const(nvars, c), None, reduce=False)
+
+    @staticmethod
+    def coerce(x, nvars: int) -> "LogRational":
+        """A LogRational, Poly or scalar as a LogRational in nvars variables."""
+        if isinstance(x, LogRational):
+            return x
+        if isinstance(x, Poly):
+            return LogRational.from_poly(x)
+        return LogRational.const(nvars, x)
 
     # -- predicates -----------------------------------------------------
     @property
@@ -541,25 +546,23 @@ class LogRational:
         return hash((self.num, frozenset(self.den.items())))
 
     # -- arithmetic -----------------------------------------------------
-    def _coerce(self, other) -> "LogRational":
-        if isinstance(other, LogRational):
-            return other
-        if isinstance(other, Poly):
-            return LogRational.from_poly(other)
-        return LogRational.const(self.nvars, other)
+    def numerator_over(self, den: Mapping[LinearForm, int]) -> Poly:
+        """The numerator of self written over den, a multiple of self.den
+        (every form of self.den in den, to at least the same power).
+
+        This is the one place that clears fractions to a common denominator.
+        """
+        return self.num * form_product(self.nvars, {f: e - self.den.get(f, 0)
+                                                    for f, e in den.items()})
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = LogRational.coerce(other, self.nvars)
         if self.nvars != o.nvars:
             raise ValueError("ambient dimension mismatch")
         common: Dict[LinearForm, int] = dict(self.den)
         for f, e in o.den.items():
             common[f] = max(common.get(f, 0), e)
-        a = self.num * _form_product(self.nvars, {f: e - self.den.get(f, 0)
-                                                  for f, e in common.items()})
-        b = o.num * _form_product(self.nvars, {f: e - o.den.get(f, 0)
-                                               for f, e in common.items()})
-        return LogRational(a + b, common)
+        return LogRational(self.numerator_over(common) + o.numerator_over(common), common)
 
     __radd__ = __add__
 
@@ -567,7 +570,7 @@ class LogRational:
         return LogRational(-self.num, self.den, reduce=False)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-LogRational.coerce(other, self.nvars))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -575,7 +578,7 @@ class LogRational:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, AlgebraicNumber)):
             return LogRational(self.num * other, self.den, reduce=False)
-        o = self._coerce(other)
+        o = LogRational.coerce(other, self.nvars)
         den: Dict[LinearForm, int] = dict(self.den)
         for f, e in o.den.items():
             den[f] = den.get(f, 0) + e
@@ -621,15 +624,13 @@ class LogRational:
             base = base + LogRational(self.num * (-e * a_i), den)
         return base
 
-    def substitute_matrix(self, m, minv=None) -> "LogRational":
+    def substitute_matrix(self, m) -> "LogRational":
         """Compose with x -> M x; forms renormalize and carry scalars out."""
         num = self.num.substitute_matrix(m)
         scal: Scalar = Fraction(1)
         den: Dict[LinearForm, int] = {}
-        mt = list(zip(*m))  # columns of M = images of coordinate covectors
         for form, e in self.den.items():
-            new_coeffs = [form.dot(col) for col in mt]
-            nf, c = normalize_form(new_coeffs)
+            nf, c = form.image(m)
             den[nf] = den.get(nf, 0) + e
             scal = scal * c ** e
         return LogRational(num * (1 / scal), den)
@@ -658,19 +659,15 @@ class LogRational:
         return self.render()
 
 
-def _form_product(nvars: int, exps: Mapping[LinearForm, int]) -> Poly:
+def form_product(nvars: int, exps: Mapping[LinearForm, int]) -> Poly:
+    """Expanded product of form powers (exponents must be nonnegative)."""
+    if any(e < 0 for e in exps.values()):
+        raise ValueError("negative exponent in form product")
     out = Poly.const(nvars, 1)
     for form, e in exps.items():
         if e:
             out = out * form.to_poly() ** e
     return out
-
-
-def form_product(nvars: int, exps: Mapping[LinearForm, int]) -> Poly:
-    """Expanded product of form powers (exponents must be nonnegative)."""
-    if any(e < 0 for e in exps.values()):
-        raise ValueError("negative exponent in form product")
-    return _form_product(nvars, exps)
 
 
 def match_product_of_forms(f: LogRational, spec: Mapping[LinearForm, int]):

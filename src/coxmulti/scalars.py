@@ -397,14 +397,11 @@ def cosine_field(n_lines: int) -> Tuple[NumberField, "AlgebraicNumber"]:
     big_n = 2 * n_lines
     phi = _cyclotomic(big_n)
     mp = _fold_palindrome(phi)
-    # gamma = 2 cos(2 pi / big_n) is the largest root of mp; every root is
-    # 2 cos(2 pi k / big_n) with k coprime to big_n, so the second-largest
-    # sits at k >= 3 and [cut, 2] isolates gamma.
-    import math as _m
-
-    second = 2 * _m.cos(2 * _m.pi * 3 / big_n)
-    largest = 2 * _m.cos(2 * _m.pi / big_n)
-    cut = Fraction(round((second + largest) / 2 * 2**20), 2**20)
+    # gamma = 2 cos(u), u = pi / n_lines, is the largest root of mp; every
+    # other root is 2 cos(k u) with k >= 3 odd.  With 3.14 < pi < 3.15,
+    # gamma >= 2 - u^2 > cut and 2 cos(3u) <= 2 - 9u^2 + 27u^4/4 < cut for
+    # n_lines >= 4, so [cut, 2] isolates gamma without floating point.
+    cut = 2 - 4 * (Fraction(63, 20) / n_lines) ** 2
     field = NumberField(mp, cut, Fraction(2), name="g")
     return field, field.generator()
 

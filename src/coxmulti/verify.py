@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coxeter import ArrangementData, InvariantSystem, Multiplicity, _apply_matrix_to_form
+from .coxeter import ArrangementData, InvariantSystem, Multiplicity
 from .derivations import Derivation, group_action, membership_witness
 from .linalg import Matrix, determinant, rational_nullspace, scalar_inverse
 from .poly import LinearForm, LogRational, Poly, match_product_of_forms
@@ -46,7 +46,10 @@ def saito_check(arr: ArrangementData, mult: Multiplicity,
     if len(basis) != arr.rank:
         raise VerificationError(f"expected {arr.rank} derivations, got {len(basis)}")
     for k, theta in enumerate(basis):
-        witness = membership_witness(theta, arr, mult)
+        try:
+            witness = membership_witness(theta, arr, mult)
+        except ValueError as exc:  # a zero element or a foreign denominator
+            raise VerificationError(f"basis element {k} is not in D(A, m): {exc}") from exc
         if witness is not None:
             reason, form = witness
             raise VerificationError(
@@ -220,7 +223,7 @@ def _action_on_numerators(arr: ArrangementData, gen_idx: int, space: OracleSpace
     # sign of the denominator under the substitution x -> w^{-1} x
     sign: Scalar = Fraction(1)
     for form, e in space.den.items():
-        sign = sign * _apply_matrix_to_form(form, winv)[1] ** e
+        sign = sign * form.image(winv)[1] ** e
     index = {m: t for t, m in enumerate(space.monomials)}
     out = [Fraction(0)] * (n * nm)
     for j in range(n):

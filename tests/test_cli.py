@@ -1,9 +1,20 @@
+import contextlib
 import copy
+import gzip
+import importlib.util
+import io
 import json
+import random
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coxmulti.cli import main
+from coxmulti.coxeter import cached_arrangement
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(capsys, *argv):
@@ -154,6 +165,11 @@ MALFORMED = {
     "params_rank_3": lambda b: b.update(params={"rank": 3}),
     "params_without_rank": lambda b: b.update(params={}),
     "family_int": lambda b: b.update(family=7),
+    # -x1 where the format writes x1: read as x1 it would rescale the entry
+    "den_form_not_normalized": lambda b: _coeff(b).update(den=[[[["-1", "1"], ["0", "1"]], 1]]),
+    "zero_coefficient": lambda b: _coeff(b)["num"]["terms"][0].__setitem__(1, ["0", "1"]),
+    "repeated_exponent": lambda b: _coeff(b)["num"]["terms"].append(
+        copy.deepcopy(_coeff(b)["num"]["terms"][0])),
 }
 
 
@@ -165,6 +181,33 @@ def test_verify_malformed_field_is_parse_error(tmp_path, capsys, b2_case1_cert, 
     assert code == 2
     assert "malformed" in err
     assert "Traceback" not in err
+
+
+# each mutation puts a basis element outside D(A, m) without breaking the schema
+NOT_IN_MODULE = {
+    "zero_derivation": lambda b: b["basis"][0].update(
+        coeffs=[{"num": {"nvars": 2, "terms": []}, "den": []}] * 2),
+    "foreign_denominator": lambda b: _coeff(b).update(den=[[[["1", "1"], ["2", "1"]], 1]]),
+}
+
+
+@pytest.mark.parametrize("field", list(NOT_IN_MODULE))
+def test_verify_reports_basis_outside_module(tmp_path, capsys, b2_case1_cert, field):
+    blob = copy.deepcopy(b2_case1_cert)
+    NOT_IN_MODULE[field](blob)
+    code, out, err = _verify_blob(tmp_path, capsys, blob)
+    assert code == 4
+    assert "Traceback" not in err
+    assert any("basis element 0 is not in D(A, m)" in f for f in json.loads(out)["failures"])
+
+
+def test_verify_claimed_large_rank_expands_no_products(tmp_path, capsys, b2_case1_cert):
+    # Q2 of B8 has 8! terms: reading the header must not expand it
+    blob = copy.deepcopy(b2_case1_cert)
+    blob["params"] = {"rank": 8}
+    code, _, err = _verify_blob(tmp_path, capsys, blob)
+    assert code == 2 and "malformed" in err
+    assert "Q2" not in vars(cached_arrangement("B", rank=8))
 
 
 def test_verify_accepts_values_multiplicity(tmp_path, capsys, b2_case1_cert):
@@ -228,3 +271,59 @@ def test_info_i2_n10(capsys):
     assert code == 0
     assert "hyperplanes 20 = 10 + 10" in out
     assert "(h1 = 10)" in out
+
+
+# one small bundled certificate per family, and one with denominators
+FUZZ_CERTIFICATES = ("B3_p1_q0_c2", "B3_p-1_q0_c2", "G2_m1_m0")
+FUZZ_FIELDS = ("basis", "multiplicity", "saito_c", "exponents")
+REPLACEMENTS = st.one_of(st.integers(-3, 5), st.integers(-3, 5).map(str),
+                         st.sampled_from([1.5, True, None, "x", []]))
+
+
+def _leaves(obj, path=()):
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _leaves(obj[key], path + (key,))
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from _leaves(item, path + (i,))
+    else:
+        yield path
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The fuzzed certificates, read from the benchmark's bundle (never
+    written), and the benchmark's independent checker."""
+    with gzip.open(PERFBENCH / "inputs" / "certificates.json.gz") as fh:
+        bundle = json.load(fh)
+    spec = importlib.util.spec_from_file_location("perfbench_check", PERFBENCH / "check.py")
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    blobs = {name: json.loads(bundle[name]) for name in FUZZ_CERTIFICATES}
+    return blobs, check, tmp_path_factory.mktemp("fuzz") / "mutant.json"
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(FUZZ_CERTIFICATES), st.data())
+def test_verify_mutation_fuzz(fuzz_inputs, name, data):
+    # verify never raises; it accepts a mutant only if the benchmark's
+    # checker, which shares no code with coxmulti, accepts it too
+    blobs, check, path = fuzz_inputs
+    blob = copy.deepcopy(blobs[name])
+    leaves = [p for p in _leaves(blob) if p[0] in FUZZ_FIELDS]
+    leaf = data.draw(st.sampled_from(leaves))
+    owner = blob
+    for key in leaf[:-1]:
+        owner = owner[key]
+    old = json.dumps(owner[leaf[-1]])
+    owner[leaf[-1]] = data.draw(REPLACEMENTS.filter(lambda v: json.dumps(v) != old))
+    text = json.dumps(blob)
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])
+    assert code in (0, 2, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        check.check_certificate(text, random.Random(0))

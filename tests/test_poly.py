@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxmulti.poly import (LinearForm, LogRational, Poly, form_product,
                            match_product_of_forms)
@@ -184,6 +186,37 @@ def test_divide_exact():
     assert p.divide_exact(X + Y) == (X + Y) ** 2 * (X - Y)
     assert p.divide_exact(X - 2 * Y) is None
     assert p.multiplicity_along(FS) == 3
+
+
+# x + sqrt(3) y, a G2 form over Q(sqrt 3)
+G2_FORM = LinearForm([1, cosine_field(6)[1]])
+
+
+@st.composite
+def strip_inputs(draw):
+    """(p, form): nonzero p in 2 or 3 variables and a form to strip from it."""
+    n = draw(st.sampled_from([2, 3]))
+    monomial = st.tuples(*[st.integers(0, 2)] * n)
+    terms = draw(st.dictionaries(monomial, st.integers(-3, 3).filter(bool),
+                                 min_size=1, max_size=4))
+    rational = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any).map(LinearForm)
+    form = draw(st.one_of(rational, st.just(G2_FORM)) if n == 2 else rational)
+    return Poly(n, {e: Fraction(c) for e, c in terms.items()}), form
+
+
+@settings(max_examples=80, deadline=None)
+@given(strip_inputs(), st.integers(0, 3), st.one_of(st.none(), st.integers(0, 4)))
+def test_strip_form_contract(case, j, limit):
+    # the contract any faster division by a form must keep
+    p, form = case
+    fp = form.to_poly()
+    target = p * fp ** j
+    k, q = target.strip_form(form, limit)
+    assert q * fp ** k == target
+    assert min(j, j if limit is None else limit) <= k
+    assert limit is None or k <= limit
+    if limit is None or k < limit:
+        assert q.divide_exact(fp) is None
 
 
 def test_render_deterministic():

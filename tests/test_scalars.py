@@ -105,3 +105,16 @@ def test_float_agreement_sanity(sqrt3):
         lhs = (a * b).approx(width)
         rhs = a.approx(width) * b.approx(width)
         assert abs(lhs - rhs) < eps
+
+
+def test_cosine_field_interval_isolates_one_root():
+    # the exact cut leaves exactly one root of the minimal polynomial in
+    # [cut, 2], counted by Sturm sequences in sympy
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for lines in range(4, 81, 2):
+        field, _ = cosine_field(lines)
+        lo, hi = field.interval()
+        assert lo == 2 - 4 * (Fraction(63, 20) / lines) ** 2 and hi == 2
+        mp = sympy.Poly(list(reversed(field.minpoly)), t, domain=sympy.QQ)
+        assert mp.count_roots(sympy.Rational(lo.numerator, lo.denominator), 2) == 1, lines

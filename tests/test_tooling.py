@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -16,3 +17,16 @@ def test_traced_functions_resolve():
     for module, path in targets:
         owner, attr = tracing._resolve(importlib.import_module(f"coxmulti.{module}"), path)
         assert attr in vars(owner), f"coxmulti.{module}.{path}"
+
+
+def test_no_private_imports_between_modules():
+    """No coxmulti module imports a `_` name from another: a helper two
+    modules need is public in one of them."""
+    src = Path(__file__).resolve().parents[1] / "src" / "coxmulti"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                offenders += [f"{path.name}: from .{node.module} import {alias.name}"
+                              for alias in node.names if alias.name.startswith("_")]
+    assert not offenders
