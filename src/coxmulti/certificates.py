@@ -19,6 +19,10 @@ from .scalars import AlgebraicNumber, NumberField
 
 SCHEMA_VERSION = 1
 
+# largest I2(n) a certificate may name: building I2(n) costs about n^2.8
+# (about 1 s at n = 24), so a larger claim is refused before anything is built
+MAX_DIHEDRAL_N = 24
+
 
 def encode_scalar(c):
     if isinstance(c, AlgebraicNumber):
@@ -190,6 +194,8 @@ def arrangement_from_header(obj: Dict) -> ArrangementData:
     family = family.upper()
     rank = _integer(params.get("rank"), "params.rank") if family == "B" else None
     n = _integer(params.get("n"), "params.n") if family == "I2" else None
+    if n is not None and n > MAX_DIHEDRAL_N:
+        raise ValueError(f"params.n = {n} exceeds the supported maximum {MAX_DIHEDRAL_N}")
     return cached_arrangement(family, rank=rank, n=n)
 
 

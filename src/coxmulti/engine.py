@@ -401,18 +401,11 @@ class BasisCertificate:
 
 def _certify(ctx: EpqContext, mult: Multiplicity, basis: List[Derivation],
              case: str, route: str) -> BasisCertificate:
-    exps = []
-    for theta in basis:
-        d = theta.degree()
-        if d is None:
-            raise EngineError("basis element is not homogeneous")
-        exps.append(d)
-    order = sorted(range(len(basis)), key=lambda i: exps[i])
-    basis = [basis[i] for i in order]
-    exps = [exps[i] for i in order]
+    if any(theta.degree() is None for theta in basis):
+        raise EngineError("basis element is not homogeneous")
+    basis = sorted(basis, key=Derivation.degree)  # stable: ties keep their order
+    exps = [theta.degree() for theta in basis]
     c = saito_check(ctx.arr, mult, basis)
-    if sum(exps) != mult.total():
-        raise EngineError("exponent sum does not match the multiplicity total")
     flags = invariance_check(basis, ctx.arr.gens_W)
     return BasisCertificate(ctx.arr.family, dict(ctx.arr.params), mult, case, basis,
                             exps, c, flags, route, seeds=ctx.sys_w.seeds)
@@ -464,12 +457,11 @@ def rank2_basis(ctx: EpqContext, mult: Multiplicity) -> BasisCertificate:
     if arr.rank != 2:
         raise ValueError("rank2_basis needs a rank-2 arrangement")
     invariant = mult.is_equivariant() and mult.is_odd()
-    total = mult.total()
     d_min = -sum(oracle_denominator(arr, mult).values())
     selected: List[Derivation] = []
     sel_degrees: List[int] = []
     d = d_min
-    cap = total - d_min + 2 * len(arr.hyperplanes) + 4
+    cap = mult.total() - d_min + 2 * len(arr.hyperplanes) + 4
     while len(selected) < 2 and d <= cap:
         space = oracle_solution_space(arr, mult, d)
         if space.dim:
@@ -485,8 +477,6 @@ def rank2_basis(ctx: EpqContext, mult: Multiplicity) -> BasisCertificate:
                     if len(selected) < 2:
                         selected.append(space.derivation(vec))
                         sel_degrees.append(d)
-        if len(selected) == 2 and sum(sel_degrees) != total:
-            raise EngineError("rank-2 selection degrees do not match the total")
         d += 1
     if len(selected) != 2:
         raise SolverError(f"rank-2 search exhausted up to degree {cap}")

@@ -15,7 +15,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from .scalars import AlgebraicNumber, Scalar, as_fraction, scalar_is_rational
+from .scalars import (AlgebraicNumber, Scalar, as_fraction, scalar_determinant,
+                      scalar_is_rational)
 
 Exponent = Tuple[int, ...]
 
@@ -34,22 +35,6 @@ def _add_exps(a: Exponent, b: Exponent) -> Exponent:
 
 def _grlex_key(e: Exponent):
     return (sum(e), e)
-
-
-def _scalar_matrix_singular(m) -> bool:
-    rows = [list(r) for r in m]
-    n = len(rows)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            return True
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c] * inv
-            if f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return False
 
 
 class Poly:
@@ -240,7 +225,7 @@ class Poly:
         if entry is not None and entry[0] == key:
             cache = entry[1]
         else:
-            if _scalar_matrix_singular(key):
+            if not scalar_determinant(key):
                 raise ValueError("singular substitution matrix")
             cache = {}
             _SUBST_POWER_CACHE[h] = (key, cache)
@@ -523,9 +508,6 @@ class LogRational:
             raise ValueError("denominator is nontrivial")
         return self.num
 
-    def is_constant(self) -> bool:
-        return not self.den and self.num.is_constant()
-
     def degree(self):
         """Homogeneity degree (num degree minus denominator degree)."""
         if self.num.is_zero():
@@ -635,6 +617,18 @@ class LogRational:
             scal = scal * c ** e
         return LogRational(num * (1 / scal), den)
 
+    def evaluate(self, point: Sequence[Scalar]) -> Scalar:
+        """Exact value at a point of Q^n or Q(g)^n off every denominator form."""
+        value: Scalar = Fraction(0)
+        for e, c in self.num.terms.items():
+            for x, k in zip(point, e):
+                if k:
+                    c = c * x ** k
+            value = value + c
+        for form, e in self.den.items():
+            value = value / form.dot(point) ** e
+        return value
+
     def order_along(self, form: LinearForm) -> Union[int, float]:
         """Valuation along the hyperplane form = 0; +inf for the zero element."""
         if self.num.is_zero():
@@ -669,20 +663,3 @@ def form_product(nvars: int, exps: Mapping[LinearForm, int]) -> Poly:
             out = out * form.to_poly() ** e
     return out
 
-
-def match_product_of_forms(f: LogRational, spec: Mapping[LinearForm, int]):
-    """Scalar c with f = c * prod(form^spec), or None if no such c exists.
-
-    Distinct LinearForm keys are never proportional (normalization makes
-    proportional covectors compare equal), so the exponent map is always a
-    valid multiarrangement prescription.
-    """
-    if f.is_zero():
-        return None
-    g = f
-    for form, e in spec.items():
-        g = g.mul_form_power(form, -e)
-    if g.is_constant():
-        c = g.num.constant_value()
-        return c if c else None
-    return None

@@ -12,11 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-Rational = Fraction
 Scalar = Union[Fraction, "AlgebraicNumber"]
 
 QQ_ZERO = Fraction(0)
-QQ_ONE = Fraction(1)
 
 
 def _trim(coeffs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
@@ -355,6 +353,25 @@ def as_fraction(x: Scalar) -> Fraction:
             raise ValueError("not a rational scalar")
         return x.coeffs[0] if x.coeffs else Fraction(0)
     return Fraction(x)
+
+
+def scalar_determinant(rows: Sequence[Sequence[Scalar]]) -> Scalar:
+    """Determinant of a square matrix over Q or Q(g) by Gaussian elimination."""
+    a = [list(r) for r in rows]
+    det: Scalar = Fraction(1)
+    for c in range(len(a)):
+        piv = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv], det = a[piv], a[c], -det
+        det = det * a[c][c]
+        inv = 1 / a[c][c]
+        for row in a[c + 1:]:
+            f = row[c] * inv
+            if f:  # a zero multiple would turn rational entries into field elements
+                row[c:] = [x - f * y for x, y in zip(row[c:], a[c][c:])]
+    return det
 
 
 # ---------------------------------------------------------------------------

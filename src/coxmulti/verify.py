@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coxeter import ArrangementData, InvariantSystem, Multiplicity
 from .derivations import Derivation, group_action, membership_witness
-from .linalg import Matrix, determinant, rational_nullspace, scalar_inverse
-from .poly import LinearForm, LogRational, Poly, match_product_of_forms
-from .scalars import Scalar
+from .linalg import rational_nullspace, scalar_inverse
+from .poly import LinearForm, LogRational, Poly
+from .scalars import Scalar, scalar_determinant
 
 ORACLE_DEGREE_CAP = 60
 
@@ -31,17 +32,26 @@ class VerificationError(Exception):
 # Saito criterion
 # ---------------------------------------------------------------------------
 
-def coefficient_matrix(basis: Sequence[Derivation]) -> Matrix:
-    n = basis[0].nvars
-    return Matrix([[theta.coeffs[j] for theta in basis] for j in range(n)])
+def saito_point(forms: Sequence[LinearForm]) -> Tuple[int, ...]:
+    """The first p = (b^i + i)_{i=1..l}, b = 2, 3, ..., off every form.
+
+    alpha(p) is a nonzero polynomial in b (b^i carries the coefficient a_i),
+    so only finitely many b fail.
+    """
+    for b in count(2):
+        p = tuple(b ** i + i for i in range(1, forms[0].nvars + 1))
+        if all(form.dot(p) for form in forms):
+            return p
 
 
 def saito_check(arr: ArrangementData, mult: Multiplicity,
                 basis: Sequence[Derivation]):
-    """Saito scalar c with det(basis) = c * prod alpha_H^{m(H)}.
+    """Saito scalar c != 0 with det(basis) = c * prod alpha_H^{m(H)}.
 
-    Raises VerificationError when a basis element fails membership or the
-    determinant does not match the prescribed form product.
+    Membership in D(A, m), homogeneity and sum deg = |m| make c = det / prod
+    alpha_H^{m(H)} regular along every H, with poles along A only and degree
+    0: a constant, read off at one point off the arrangement.  Raises
+    VerificationError when a hypothesis fails or c = 0 (then not a basis).
     """
     if len(basis) != arr.rank:
         raise VerificationError(f"expected {arr.rank} derivations, got {len(basis)}")
@@ -54,11 +64,24 @@ def saito_check(arr: ArrangementData, mult: Multiplicity,
             reason, form = witness
             raise VerificationError(
                 f"basis element {k} is not in D(A, m): {reason} along {form}")
-    det = determinant(coefficient_matrix(basis))
-    spec = {h.form: mult.of(h) for h in arr.hyperplanes}
-    c = match_product_of_forms(det, spec)
-    if c is None:
-        raise VerificationError("Saito determinant does not match the form product")
+    degrees = [theta.degree() for theta in basis]
+    if None in degrees:
+        raise VerificationError(f"basis element {degrees.index(None)} is not homogeneous")
+    if sum(degrees) != mult.total():
+        raise VerificationError(
+            f"degrees {sorted(degrees)} do not sum to the multiplicity total {mult.total()}")
+    p = saito_point(arr.forms())
+    det = scalar_determinant([[theta.coeffs[j].evaluate(p) for theta in basis]
+                              for j in range(arr.rank)])
+    # a zero exponent is skipped, not raised to 0: the power would turn a
+    # rational value into a field element and change the certificate's bytes
+    q: Scalar = Fraction(1)
+    for h, m in mult.values.items():
+        if m:
+            q = q * h.form.dot(p) ** m
+    c = det / q
+    if not c:
+        raise VerificationError("Saito determinant vanishes: the derivations are dependent")
     return c
 
 

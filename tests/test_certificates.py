@@ -64,6 +64,7 @@ BUNDLE = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "certifi
     "G2_m1_m3",  # odd equivariant: the oracle route restricted to the W-fixed part
     "G2_m-2_m-1",  # poles on both orbits: the oracle over a nontrivial denominator
     "B3_p-1_q1_c4",  # E^(-1,1) inverts nabla_D over Q1^2: divisibility rows
+    "G2_m0_m0",  # the one G2 file whose saito_c is a plain rational, not {"ext": ...}
 ])
 def test_rebuilt_certificate_matches_bundle(name):
     """A fresh context rebuilds the bundled benchmark certificate byte for byte."""

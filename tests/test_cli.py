@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -208,6 +209,20 @@ def test_verify_claimed_large_rank_expands_no_products(tmp_path, capsys, b2_case
     code, _, err = _verify_blob(tmp_path, capsys, blob)
     assert code == 2 and "malformed" in err
     assert "Q2" not in vars(cached_arrangement("B", rank=8))
+
+
+def test_verify_claimed_large_dihedral_is_refused_before_building(tmp_path, capsys, monkeypatch,
+                                                                  b2_case1_cert):
+    # building I2(500) would take hours; the header alone must be refused
+    monkeypatch.setattr("coxmulti.coxeter.build_arrangement",
+                        lambda *args, **kwargs: pytest.fail("arrangement built"))
+    blob = copy.deepcopy(b2_case1_cert)
+    blob.update(family="I2", params={"n": 500})
+    start = time.perf_counter()
+    code, _, err = _verify_blob(tmp_path, capsys, blob)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "params.n = 500" in err
+    assert "Traceback" not in err
 
 
 def test_verify_accepts_values_multiplicity(tmp_path, capsys, b2_case1_cert):

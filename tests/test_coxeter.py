@@ -7,8 +7,15 @@ from coxmulti.coxeter import (F4_ALTERNATE_SEEDS, F4_DEFAULT_SEEDS, F4_ORBIT_SWI
                               Multiplicity, basic_invariants, build_arrangement,
                               cached_arrangement, f4_w1_invariants, reflection_matrix,
                               reynolds)
-from coxmulti.linalg import determinant
-from coxmulti.poly import LinearForm, LogRational, Poly, match_product_of_forms
+from coxmulti.linalg import determinant, logrational_ratio
+from coxmulti.poly import LinearForm, LogRational, Poly, form_product
+
+
+def over_forms(f, forms):
+    """f divided by the product of the forms, as a reduced LogRational."""
+    n = forms[0].nvars
+    q = LogRational.from_poly(form_product(n, {g: 1 for g in forms}))
+    return logrational_ratio(LogRational.coerce(f, n), q, forms)
 
 
 @pytest.fixture(scope="module")
@@ -98,12 +105,10 @@ def test_degree_products_and_reflection_counts(b2, b3, g2):
 def test_jacobian_determinant_is_form_product(b2, b3, g2):
     for arr, expected_c in ((b2, -8), (b3, None), (g2, None)):
         sys_w = basic_invariants(arr, "W")
-        det = determinant(sys_w.jacobian)
-        spec = {h.form: 1 for h in arr.hyperplanes}
-        c = match_product_of_forms(det, spec)
-        assert c is not None and c != 0
+        c = over_forms(determinant(sys_w.jacobian), arr.forms())
+        assert c.is_poly() and c.num.is_constant() and c
         if expected_c is not None:
-            assert c == expected_c
+            assert c == LogRational.const(arr.rank, expected_c)
 
 
 def test_reynolds_examples(b2):
@@ -199,26 +204,18 @@ def test_f4_p4_tau_invariant():
 
 
 def test_f4_orbit_switch_swaps_defining_products(f4):
-    q1_img = f4.Q1.substitute_matrix(F4_ORBIT_SWITCH)
-    c = match_product_of_forms(LogRational.from_poly(q1_img),
-                               {h.form: 1 for h in f4.orbit(2)})
-    assert c is not None and c != 0
-    q2_img = f4.Q2.substitute_matrix(F4_ORBIT_SWITCH)
-    c2 = match_product_of_forms(LogRational.from_poly(q2_img),
-                                {h.form: 1 for h in f4.orbit(1)})
-    assert c2 is not None and c2 != 0
+    for q, tag in ((f4.Q1, 2), (f4.Q2, 1)):
+        c = over_forms(q.substitute_matrix(F4_ORBIT_SWITCH), f4.orbit_forms(tag))
+        assert c.is_poly() and c.num.is_constant() and c
 
 
 def test_g2_products_match_re_im(g2):
     x, y = Poly.variable(2, 0), Poly.variable(2, 1)
     im_z3 = 3 * x * x * y - y ** 3
     re_z3 = x ** 3 - 3 * x * y * y
-    for q, target in ((g2.Q1, im_z3), (g2.Q2, re_z3)):
-        ratio = None
-        c = match_product_of_forms(
-            LogRational.from_poly(target),
-            {h.form: 1 for h in (g2.orbit(1) if q is g2.Q1 else g2.orbit(2))})
-        assert c is not None
+    for target, tag in ((im_z3, 1), (re_z3, 2)):
+        c = over_forms(target, g2.orbit_forms(tag))
+        assert c.is_poly() and c.num.is_constant() and c
 
 
 def test_multiplicity_basics(b2):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxmulti.poly import (LinearForm, LogRational, Poly, form_product,
-                           match_product_of_forms)
+from coxmulti.linalg import logrational_ratio
+from coxmulti.poly import LinearForm, LogRational, Poly, form_product
 from coxmulti.scalars import cosine_field
 
 X = Poly.variable(2, 0)
@@ -93,9 +93,9 @@ def test_substitution_cache_keeps_matrix_in_use(monkeypatch):
 
     # a matrix gets a new power table exactly when it is checked for singularity
     tabled = []
-    singular = poly._scalar_matrix_singular
-    monkeypatch.setattr(poly, "_scalar_matrix_singular",
-                        lambda key: tabled.append(key) or singular(key))
+    det = poly.scalar_determinant
+    monkeypatch.setattr(poly, "scalar_determinant",
+                        lambda key: tabled.append(key) or det(key))
     m = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))
     f = X ** 3 + X * Y
     f.substitute_matrix(m)
@@ -127,17 +127,22 @@ def test_order_additivity_randomized():
             assert (f * g).order_along(form) == f.order_along(form) + g.order_along(form)
 
 
-def test_match_product_of_forms_b2_jacobian():
+def test_b2_jacobian_over_form_product():
     # det J for the rank-2 power sums, expanded by hand:
     # (2x)(4y^3) - (2y)(4x^3) = -8xy(x - y)(x + y)
-    det = 8 * X * Y ** 3 - 8 * X ** 3 * Y
-    c = match_product_of_forms(LogRational.from_poly(det), {FX: 1, FY: 1, FD: 1, FS: 1})
-    assert c == -8
+    det = LogRational.from_poly(8 * X * Y ** 3 - 8 * X ** 3 * Y)
+    forms = [FX, FY, FD, FS]
+    q = LogRational.from_poly(form_product(2, {f: 1 for f in forms}))
+    assert logrational_ratio(det, q, forms) == LogRational.const(2, -8)
 
 
-def test_match_product_trivial_and_failure():
-    assert match_product_of_forms(LogRational.const(2, 1), {}) == 1
-    assert match_product_of_forms(LogRational.from_poly(X * X * Y), {FX: 1, FY: 1}) is None
+def test_form_product_ratio_trivial_and_failure():
+    one = LogRational.const(2, 1)
+    assert logrational_ratio(one, one) == one
+    # x^2 y over x y leaves x: not a constant multiple of the form product
+    ratio = logrational_ratio(LogRational.from_poly(X * X * Y),
+                              LogRational.from_poly(X * Y), [FX, FY])
+    assert ratio == LogRational.from_poly(X)
     # proportional inputs collapse to the same normalized key
     assert LinearForm([2, 0]) == FX
 
@@ -229,3 +234,96 @@ def test_render_deterministic():
 def test_form_product():
     q = form_product(2, {FX: 1, FY: 1})
     assert q == X * Y
+
+
+# -- property tests of the ring operations and of reduction -------------------
+
+SQRT3 = G2_FORM.coeffs[1]
+# pairwise non-proportional forms, one of them over Q(sqrt 3)
+PROPERTY_FORMS = [FX, FY, FD, FS, LinearForm([1, 2]), G2_FORM]
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+coefficients = st.one_of(rationals, st.builds(lambda a, b: a + b * SQRT3, rationals, rationals))
+
+
+@st.composite
+def polys(draw, max_degree=2):
+    monomial = st.tuples(st.integers(0, max_degree), st.integers(0, max_degree))
+    terms = draw(st.dictionaries(monomial, coefficients, max_size=3))
+    return Poly(2, {e: c for e, c in terms.items() if c})
+
+
+@st.composite
+def denominators(draw):
+    forms = draw(st.lists(st.sampled_from(PROPERTY_FORMS), max_size=2, unique=True))
+    return {f: draw(st.integers(1, 2)) for f in forms}
+
+
+logrationals = st.builds(LogRational, polys(), denominators())
+points = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(
+    lambda p: all(f.dot(p) for f in PROPERTY_FORMS))
+
+
+def ring_axioms(a, b, c, zero, one):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a
+    assert a - a == zero and a + (-a) == zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), polys())
+def test_poly_ring_axioms(a, b, c):
+    ring_axioms(a, b, c, Poly.zero(2), Poly.const(2, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(logrationals, logrationals, logrationals)
+def test_logrational_ring_axioms(a, b, c):
+    ring_axioms(a, b, c, LogRational.zero(2), LogRational.const(2, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), denominators(), denominators())
+def test_unreduced_logrational_equals_reduced(num, den, extra):
+    # multiply top and bottom by the same form powers and skip the reduction
+    common = {f: den.get(f, 0) + extra.get(f, 0) for f in set(den) | set(extra)}
+    unreduced = LogRational(num * form_product(2, extra), common, reduce=False)
+    reduced = LogRational(num, den)
+    assert unreduced == reduced
+    # reduction is canonical: the same value gives the same (num, den)
+    again = LogRational(unreduced.num, unreduced.den)
+    assert (again.num, again.den) == (reduced.num, reduced.den)
+    assert all(not reduced.num or reduced.num.divide_exact(f.to_poly()) is None
+               for f in reduced.den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(logrationals, logrationals)
+def test_equal_values_reduce_alike(a, b):
+    # a*b/b and a are the same value reached two ways
+    if not b:
+        return
+    quotient = logrational_ratio(a * b, b, PROPERTY_FORMS)
+    assert quotient == a
+    assert (quotient.num, quotient.den) == (a.num, a.den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(logrationals, logrationals, points)
+def test_evaluation_is_a_ring_homomorphism(a, b, p):
+    # polynomials are the fractions with an empty denominator
+    assert (a + b).evaluate(p) == a.evaluate(p) + b.evaluate(p)
+    assert (a * b).evaluate(p) == a.evaluate(p) * b.evaluate(p)
+    assert (-a).evaluate(p) == -a.evaluate(p)
+    assert LogRational.const(2, 1).evaluate(p) == 1
+
+
+def test_evaluation_examples():
+    f = LogRational(X * X + Y, {FD: 2})  # (x^2 + y) / (x - y)^2
+    assert f.evaluate((3, 1)) == Fraction(10, 4)
+    assert LogRational.from_poly(X * SQRT3).evaluate((2, 0)) == 2 * SQRT3
+    with pytest.raises(ZeroDivisionError):
+        f.evaluate((1, 1))

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coxmulti.scalars import NumberField, cosine_field, half_angle_cosines
+from coxmulti.scalars import NumberField, cosine_field, half_angle_cosines, scalar_determinant
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +120,49 @@ def test_cosine_field_interval_isolates_one_root():
         assert lo == 2 - 4 * (Fraction(63, 20) / lines) ** 2 and hi == 2
         mp = sympy.Poly(list(reversed(field.minpoly)), t, domain=sympy.QQ)
         assert mp.count_roots(sympy.Rational(lo.numerator, lo.denominator), 2) == 1, lines
+
+
+# -- property tests ------------------------------------------------------------
+
+FIELD8, G8 = cosine_field(8)  # degree 4, so products reduce modulo the minimal polynomial
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+elements = st.lists(rationals, min_size=4, max_size=4).map(FIELD8.element)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements, elements, elements, rationals)
+def test_algebraic_ring_axioms(a, b, c, q):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + 0 == a and a * 1 == a and a - a == 0
+    assert a * q == q * a and (a + q) - q == a  # rationals lift into the field
+    if a:
+        assert a * a.inverse() == 1
+        assert (b / a) * a == b
+
+
+square = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square)
+def test_scalar_determinant_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    expected = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                             for r in rows]).det()
+    assert scalar_determinant(rows) == Fraction(int(expected.p), int(expected.q))
+
+
+field_2x2 = st.lists(st.lists(elements, min_size=2, max_size=2), min_size=2, max_size=2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(field_2x2, field_2x2)
+def test_scalar_determinant_is_multiplicative_over_the_field(a, b):
+    ab = [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
+    assert scalar_determinant(ab) == scalar_determinant(a) * scalar_determinant(b)
+    assert scalar_determinant(a) == a[0][0] * a[1][1] - a[0][1] * a[1][0]

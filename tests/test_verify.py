@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 
 from coxmulti.coxeter import Multiplicity, cached_arrangement
 from coxmulti.derivations import Derivation, euler, partial_derivation
-from coxmulti.engine import e_pq, make_context, primitive_decomposition, theta_basis
-from coxmulti.linalg import rational_nullspace
-from coxmulti.poly import LinearForm, Poly
+from coxmulti.engine import (e_pq, equivariant_basis, make_context, primitive_decomposition,
+                             theta_basis)
+from coxmulti.linalg import Matrix, determinant, logrational_ratio, rational_nullspace
+from coxmulti.poly import LinearForm, LogRational, Poly, form_product
 from coxmulti.verify import (VerificationError, divisibility_rows, free_module_dimension,
                              hilbert_compare, invariance_check, invariant_basis_obstruction,
                              invariant_oracle_dimension, mstar_experiment,
                              oracle_module_dimension, poincare_check, saito_check,
-                             series_coefficients)
+                             saito_point, series_coefficients)
 
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
@@ -53,6 +54,72 @@ def test_saito_rejects_non_member(b2):
 def test_saito_wrong_length(b2):
     with pytest.raises(VerificationError):
         saito_check(b2.arr, Multiplicity.constant(b2.arr, 0), [euler(2)])
+
+
+def test_saito_rejects_vanishing_determinant(b2):
+    # x1 E and x2 E lie in D(A, m) and their degrees sum to |m| = 4, yet det = 0
+    m = Multiplicity.from_pair(b2.arr, 1, 1)
+    with pytest.raises(VerificationError, match="vanishes"):
+        saito_check(b2.arr, m, [euler(2) * X, euler(2) * Y])
+
+
+# E and theta3 = x^3 d/dx + y^3 d/dy are a basis of D(A) for B2 (exponents 1, 3)
+THETA3 = Derivation([X ** 3, Y ** 3])
+WRONG_DEGREE_SUM = {
+    # members with a nonzero determinant, one degree too many: det / Q = -x
+    "x_theta3": ((1, 1), [euler(2), THETA3 * X], "do not sum"),
+    # a basis of D(A, (1, 1)) offered for the zero multiplicity
+    "basis_of_other_m": ((0, 0), [euler(2), THETA3], "do not sum"),
+    # the partials fail membership first, still before any evaluation
+    "partials": ((1, 1), [partial_derivation(2, 0), partial_derivation(2, 1)],
+                 "not in D"),
+}
+
+
+@pytest.mark.parametrize("name", list(WRONG_DEGREE_SUM))
+def test_saito_rejects_wrong_degree_sum_before_evaluation(b2, monkeypatch, name):
+    pair, basis, reason = WRONG_DEGREE_SUM[name]
+    monkeypatch.setattr("coxmulti.verify.saito_point", lambda forms: pytest.fail("evaluated"))
+    with pytest.raises(VerificationError, match=reason):
+        saito_check(b2.arr, Multiplicity.from_pair(b2.arr, *pair), basis)
+
+
+POINT_ARRANGEMENTS = ([("B", r, None) for r in range(2, 7)] + [("F4", None, None),
+                      ("G2", None, None)] + [("I2", None, n) for n in range(4, 11)])
+
+
+@pytest.mark.parametrize("family,rank,n", POINT_ARRANGEMENTS)
+def test_saito_point_is_first_off_the_arrangement(family, rank, n):
+    forms = cached_arrangement(family, rank=rank, n=n).forms()
+    p = saito_point(forms)
+    assert all(f.dot(p) for f in forms)
+
+    def point(b):
+        return tuple(b ** i + i for i in range(1, len(p) + 1))
+
+    b = p[0] - 1
+    assert p == point(b)
+    assert all(not all(f.dot(point(c)) for f in forms) for c in range(2, b))
+
+
+def _symbolic_saito(arr, mult, basis):
+    """det M(basis) / prod alpha_H^{m(H)} by the symbolic determinant."""
+    det = determinant(Matrix([[t.coeffs[j] for t in basis] for j in range(arr.rank)]))
+    m = {h.form: mult.of(h) for h in arr.hyperplanes}
+    qm = LogRational(form_product(arr.rank, {f: e for f, e in m.items() if e > 0}),
+                     {f: -e for f, e in m.items() if e < 0})
+    return logrational_ratio(det, qm, arr.forms())
+
+
+# one cell of each parity class on B2 (the four cases), and G2 over Q(sqrt 3)
+@pytest.mark.parametrize("family,m1,m2", [("b2", 1, 1), ("b2", 2, 1), ("b2", -1, 2),
+                                          ("b2", -2, 0), ("g2", -1, 1)])
+def test_saito_scalar_matches_symbolic_determinant(request, family, m1, m2):
+    ctx = request.getfixturevalue(family)
+    cert = equivariant_basis(ctx, m1, m2)
+    ratio = _symbolic_saito(ctx.arr, cert.multiplicity, cert.basis)
+    assert ratio.is_poly() and ratio.num.is_constant()
+    assert ratio == LogRational.const(2, saito_check(ctx.arr, cert.multiplicity, cert.basis))
 
 
 def test_oracle_dimensions(b2):
