@@ -19,9 +19,11 @@ from .scalars import AlgebraicNumber, NumberField
 
 SCHEMA_VERSION = 1
 
-# largest I2(n) a certificate may name: building I2(n) costs about n^2.8
-# (about 1 s at n = 24), so a larger claim is refused before anything is built
-MAX_DIHEDRAL_N = 24
+# the size parameter a certificate names for each family, with its largest
+# value: building B_r grows about as r^4 (about 0.6 s at r = 12, 33 s at
+# r = 32) and I2(n) about as n^2.8 (about 1 s at n = 24), so a larger claim
+# is refused before anything is built
+MAX_SIZE = {"B": ("rank", 12), "I2": ("n", 24)}
 
 
 def encode_scalar(c):
@@ -46,6 +48,12 @@ def _integer(obj, what: str) -> int:
     """A JSON integer; booleans, floats and strings are malformed."""
     if type(obj) is not int:
         raise ValueError(f"malformed {what} {obj!r:.40}: expected an integer")
+    return obj
+
+
+def _string(obj, what: str) -> str:
+    if type(obj) is not str:
+        raise ValueError(f"malformed {what} {obj!r:.40}: expected a string")
     return obj
 
 
@@ -187,16 +195,16 @@ def certificate_to_json(cert: BasisCertificate) -> str:
 
 
 def arrangement_from_header(obj: Dict) -> ArrangementData:
-    family = obj["family"]
-    if type(family) is not str:
-        raise ValueError(f"malformed family {family!r:.40}")
+    family = _string(obj["family"], "family").upper()
     params = _object(obj.get("params") or {}, "params")
-    family = family.upper()
-    rank = _integer(params.get("rank"), "params.rank") if family == "B" else None
-    n = _integer(params.get("n"), "params.n") if family == "I2" else None
-    if n is not None and n > MAX_DIHEDRAL_N:
-        raise ValueError(f"params.n = {n} exceeds the supported maximum {MAX_DIHEDRAL_N}")
-    return cached_arrangement(family, rank=rank, n=n)
+    size = {}
+    if family in MAX_SIZE:
+        key, limit = MAX_SIZE[family]
+        value = _integer(params.get(key), f"params.{key}")
+        if value > limit:
+            raise ValueError(f"params.{key} = {value} exceeds the supported maximum {limit}")
+        size[key] = value
+    return cached_arrangement(family, **size)
 
 
 def decode_certificate(obj: Dict) -> BasisCertificate:
@@ -212,7 +220,7 @@ def decode_certificate(obj: Dict) -> BasisCertificate:
     saito_c = decode_scalar(obj["saito_c"], arr.field)
     return BasisCertificate(
         family=arr.family, params=dict(arr.params), multiplicity=mult,
-        case=str(obj["case"]), basis=basis,
+        case=_string(obj["case"], "case"), basis=basis,
         exponents=[_integer(e, "exponent") for e in _list(obj["exponents"], "exponents")],
         saito_c=saito_c,
         invariance=obj.get("invariance", []), route=obj.get("route", "file"),

@@ -9,11 +9,12 @@ coefficients along theta componentwise.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .coxeter import ArrangementData, InvariantSystem, Multiplicity
 from .linalg import Matrix, scalar_inverse, solve_over_fractions
 from .poly import LinearForm, LogRational, Poly
+from .scalars import Scalar
 
 
 class Derivation:
@@ -78,13 +79,6 @@ class Derivation:
             if df.is_zero():
                 continue
             acc = acc + c * df
-        return acc
-
-    def apply_form(self, form: LinearForm) -> LogRational:
-        acc = LogRational.zero(self.nvars)
-        for a, c in zip(form.coeffs, self.coeffs):
-            if a and not c.is_zero():
-                acc = acc + c * a
         return acc
 
     def degree(self) -> Optional[int]:
@@ -164,41 +158,62 @@ def gradient_field(system: InvariantSystem, i: int) -> Derivation:
 # Logarithmic membership
 # ---------------------------------------------------------------------------
 
-def tangential_coefficients(theta: Derivation, form: LinearForm) -> List[LogRational]:
-    """Coefficients of theta minus its normal component along the hyperplane.
+def membership_conditions(form: LinearForm, pole: int,
+                          order: int) -> List[Tuple[List[Scalar], int]]:
+    """Membership along the hyperplane form = 0 as divisibility conditions.
 
-    theta = (theta(alpha)/I*(alpha,alpha)) I*(d alpha) + theta_tan with
-    theta_tan(alpha) = 0; returns the coefficients of theta_tan.
+    For theta = sum_j F_j d/dx_j / den with form^pole the power of the form
+    in den, each pair (weights, k) asks form^k to divide sum_i weights[i] F_i:
+    first theta(alpha) = sum a_i F_i / den vanishes to order m(H) when
+    order = m(H) + pole is positive, then, when pole is positive, the
+    tangential part theta - theta(alpha) I*(d alpha) / |a|^2 has no pole,
+    one condition |a|^2 F_j - a_j sum_i a_i F_i per component j.
     """
-    norm = form.norm_sq()
-    val = theta.apply_form(form)
+    a = form.coeffs
     out = []
-    for j, c in enumerate(theta.coeffs):
-        a_j = form.coeffs[j]
-        if a_j:
-            out.append(c - val * (a_j / norm))
-        else:
-            out.append(c)
+    if order > 0:
+        out.append((list(a), order))
+    if pole > 0:
+        norm = form.norm_sq()
+        for j in range(len(a)):
+            out.append(([(norm if i == j else 0) - a[j] * a[i] for i in range(len(a))], pole))
     return out
+
+
+def combine(weights: Sequence[Scalar], polys: Sequence[Poly]) -> Poly:
+    """sum_i weights[i] * polys[i]."""
+    acc = Poly.zero(polys[0].nvars)
+    for w, p in zip(weights, polys):
+        if w:
+            acc = acc + p * w
+    return acc
 
 
 def membership_witness(theta: Derivation, arr: ArrangementData,
                        mult: Multiplicity) -> Optional[Tuple[str, "LinearForm"]]:
-    """None when theta lies in D(A, m); otherwise (reason, hyperplane form)."""
+    """None when theta lies in D(A, m); otherwise (reason, hyperplane form).
+
+    theta is cleared once to the lcm of its denominators; every condition of
+    membership_conditions is then one divisibility of numerators.
+    """
     if theta.is_zero():
         raise ValueError("membership of the zero derivation")
     allowed = set(arr.forms())
+    den: Dict[LinearForm, int] = {}
     for c in theta.coeffs:
-        for f in c.den:
+        for f, e in c.den.items():
             if f not in allowed:
                 raise ValueError(f"foreign denominator form {f}")
+            den[f] = max(den.get(f, 0), e)
+    nums = [c.numerator_over(den) for c in theta.coeffs]
     for h in arr.hyperplanes:
-        for c in tangential_coefficients(theta, h.form):
-            if not c.is_zero() and c.order_along(h.form) < 0:
-                return ("tangential pole", h.form)
-        val = theta.apply_form(h.form)
-        if not val.is_zero() and val.order_along(h.form) < mult.of(h):
-            return ("order below multiplicity", h.form)
+        pole = den.get(h.form, 0)
+        order = mult.of(h) + pole
+        for idx, (weights, k) in enumerate(membership_conditions(h.form, pole, order)):
+            p = combine(weights, nums)
+            if p and p.strip_form(h.form, k)[0] < k:
+                normal = idx == 0 and order > 0
+                return ("order below multiplicity" if normal else "tangential pole", h.form)
     return None
 
 

@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coxeter import (ArrangementData, InvariantSystem, Multiplicity,
                       basic_invariants, cached_arrangement)
-from .derivations import (Derivation, coordinate_field, covariant_derivative, euler,
-                          group_action, partial_derivation)
+from .derivations import (Derivation, combine, coordinate_field, covariant_derivative,
+                          euler, group_action, membership_conditions, partial_derivation)
 from .linalg import Matrix, solve_affine, solve_over_fractions
 from .poly import LinearForm, LogRational, Poly
 from .scalars import Scalar
@@ -281,26 +281,11 @@ def invert_covariant(ctx: EpqContext, delta_tag: str, zeta: Derivation,
             last_error = "empty candidate space"
             continue
         rows: List[List[Scalar]] = []
-        rhs: List[Scalar] = []
         for form in membership_forms:
-            k_h = den.get(form, 0)
-            if not k_h:
-                continue
-            norm = form.norm_sq()
-            avec = form.coeffs
-            normal_vals = []
-            for cand in candidates:
-                s = Poly.zero(rank)
-                for i in range(rank):
-                    if avec[i]:
-                        s = s + cand[i] * avec[i]
-                normal_vals.append(s)
-            for j in range(rank):
-                polys = [cand[j] * norm - normal_vals[t] * avec[j]
-                         for t, cand in enumerate(candidates)]
-                for row in divisibility_rows(arr, polys, form, k_h):
-                    rows.append(row)
-                    rhs.append(Fraction(0))
+            for weights, k in membership_conditions(form, den.get(form, 0), 0):
+                polys = [combine(weights, cand) for cand in candidates]
+                rows.extend(divisibility_rows(arr, polys, form, k))
+        rhs: List[Scalar] = [Fraction(0)] * len(rows)
         cand_derivs = []
         for cand in candidates:
             lr = [LogRational(cand[j], den) for j in range(rank)]
@@ -315,14 +300,8 @@ def invert_covariant(ctx: EpqContext, delta_tag: str, zeta: Derivation,
         particular, null = solved
         if null:
             raise EngineError("inverse covariant solution is not unique")
-        coeffs = []
-        for j in range(rank):
-            acc = Poly.zero(rank)
-            for lam, cand in zip(particular, candidates):
-                if lam:
-                    acc = acc + cand[j] * lam
-            coeffs.append(LogRational(acc, den))
-        eta = Derivation(coeffs)
+        eta = Derivation([LogRational(combine(particular, [cand[j] for cand in candidates]), den)
+                          for j in range(rank)])
         if covariant_derivative(delta, eta) != zeta:
             raise EngineError("inverse covariant residual is nonzero")
         return eta

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .scalars import (AlgebraicNumber, Scalar, as_fraction, scalar_determinant,
                       scalar_is_rational)
@@ -522,7 +522,8 @@ class LogRational:
             other = LogRational.from_poly(other)
         if not isinstance(other, LogRational):
             return NotImplemented
-        return not (self - other)
+        common = self._common_den(other)
+        return self.numerator_over(common) == other.numerator_over(common)
 
     def __hash__(self):
         return hash((self.num, frozenset(self.den.items())))
@@ -537,13 +538,18 @@ class LogRational:
         return self.num * form_product(self.nvars, {f: e - self.den.get(f, 0)
                                                     for f, e in den.items()})
 
+    def _common_den(self, other: "LogRational") -> Dict[LinearForm, int]:
+        """The least common multiple of the two denominators."""
+        common: Dict[LinearForm, int] = dict(self.den)
+        for f, e in other.den.items():
+            common[f] = max(common.get(f, 0), e)
+        return common
+
     def __add__(self, other):
         o = LogRational.coerce(other, self.nvars)
         if self.nvars != o.nvars:
             raise ValueError("ambient dimension mismatch")
-        common: Dict[LinearForm, int] = dict(self.den)
-        for f, e in o.den.items():
-            common[f] = max(common.get(f, 0), e)
+        common = self._common_den(o)
         return LogRational(self.numerator_over(common) + o.numerator_over(common), common)
 
     __radd__ = __add__
@@ -628,15 +634,6 @@ class LogRational:
         for form, e in self.den.items():
             value = value / form.dot(point) ** e
         return value
-
-    def order_along(self, form: LinearForm) -> Union[int, float]:
-        """Valuation along the hyperplane form = 0; +inf for the zero element."""
-        if self.num.is_zero():
-            return float("inf")
-        e = self.den.get(form, 0)
-        if e:
-            return -e  # reduced: numerator is coprime to denominator forms
-        return self.num.multiplicity_along(form)
 
     def render(self, names: Optional[Sequence[str]] = None) -> str:
         num = self.num.render(names)

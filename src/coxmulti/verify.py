@@ -16,7 +16,7 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coxeter import ArrangementData, InvariantSystem, Multiplicity
-from .derivations import Derivation, group_action, membership_witness
+from .derivations import Derivation, group_action, membership_conditions, membership_witness
 from .linalg import rational_nullspace, scalar_inverse
 from .poly import LinearForm, LogRational, Poly
 from .scalars import Scalar, scalar_determinant
@@ -211,23 +211,13 @@ def oracle_solution_space(arr: ArrangementData, mult: Multiplicity, d: int) -> O
     monomials = monomials_of_degree(n, num_deg)
     nm = len(monomials)
 
-    def component_polys(weights):
-        # column i*nm + t holds weights[i] times monomial t
-        return [Poly.monomial(n, mono, w) for w in weights for mono in monomials]
-
     rows: List[List[Scalar]] = []
     for h in arr.hyperplanes:
-        form = h.form
-        avec = form.coeffs
-        k_h = den.get(form, 0)
-        t_order = mult.of(h) + k_h
-        if t_order > 0:  # order of theta(alpha) along H
-            rows.extend(divisibility_rows(arr, component_polys(avec), form, t_order))
-        if k_h > 0:  # tangential part of theta has no pole along H
-            norm = form.norm_sq()
-            for j in range(n):
-                weights = [(norm if i == j else 0) - avec[j] * avec[i] for i in range(n)]
-                rows.extend(divisibility_rows(arr, component_polys(weights), form, k_h))
+        pole = den.get(h.form, 0)
+        for weights, k in membership_conditions(h.form, pole, mult.of(h) + pole):
+            # column i*nm + t holds weights[i] times monomial t
+            polys = [Poly.monomial(n, mono, w) for w in weights for mono in monomials]
+            rows.extend(divisibility_rows(arr, polys, h.form, k))
     basis = rational_nullspace(rows, ncols=n * nm)
     return OracleSpace(arr, mult, d, den, monomials, basis)
 

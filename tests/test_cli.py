@@ -166,6 +166,7 @@ MALFORMED = {
     "params_rank_3": lambda b: b.update(params={"rank": 3}),
     "params_without_rank": lambda b: b.update(params={}),
     "family_int": lambda b: b.update(family=7),
+    "case_int": lambda b: b.update(case=1),
     # -x1 where the format writes x1: read as x1 it would rescale the entry
     "den_form_not_normalized": lambda b: _coeff(b).update(den=[[[["-1", "1"], ["0", "1"]], 1]]),
     "zero_coefficient": lambda b: _coeff(b)["num"]["terms"][0].__setitem__(1, ["0", "1"]),
@@ -211,18 +212,30 @@ def test_verify_claimed_large_rank_expands_no_products(tmp_path, capsys, b2_case
     assert "Q2" not in vars(cached_arrangement("B", rank=8))
 
 
-def test_verify_claimed_large_dihedral_is_refused_before_building(tmp_path, capsys, monkeypatch,
-                                                                  b2_case1_cert):
-    # building I2(500) would take hours; the header alone must be refused
+def _refused_before_building(tmp_path, capsys, monkeypatch, blob, message):
     monkeypatch.setattr("coxmulti.coxeter.build_arrangement",
                         lambda *args, **kwargs: pytest.fail("arrangement built"))
-    blob = copy.deepcopy(b2_case1_cert)
-    blob.update(family="I2", params={"n": 500})
     start = time.perf_counter()
     code, _, err = _verify_blob(tmp_path, capsys, blob)
     assert time.perf_counter() - start < 1.0
-    assert code == 2 and "params.n = 500" in err
+    assert code == 2 and message in err
     assert "Traceback" not in err
+
+
+def test_verify_claimed_large_dihedral_is_refused_before_building(tmp_path, capsys, monkeypatch,
+                                                                  b2_case1_cert):
+    # building I2(500) would take hours; the header alone must be refused
+    blob = copy.deepcopy(b2_case1_cert)
+    blob.update(family="I2", params={"n": 500})
+    _refused_before_building(tmp_path, capsys, monkeypatch, blob, "params.n = 500")
+
+
+def test_verify_claimed_large_rank_is_refused_before_building(tmp_path, capsys, monkeypatch,
+                                                              b2_case1_cert):
+    # building B_r grows about as r^4 (B32 takes half a minute)
+    blob = copy.deepcopy(b2_case1_cert)
+    blob["params"] = {"rank": 500}
+    _refused_before_building(tmp_path, capsys, monkeypatch, blob, "params.rank = 500")
 
 
 def test_verify_accepts_values_multiplicity(tmp_path, capsys, b2_case1_cert):

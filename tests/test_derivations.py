@@ -1,12 +1,18 @@
+import gzip
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from coxmulti.certificates import certificate_from_json
 from coxmulti.coxeter import Multiplicity, basic_invariants, cached_arrangement
 from coxmulti.derivations import (Derivation, coordinate_field, covariant_derivative,
                                   euler, gradient_field, group_action, log_membership,
-                                  partial_derivation)
+                                  membership_witness, partial_derivation)
 from coxmulti.poly import LinearForm, LogRational, Poly
 
 X = Poly.variable(2, 0)
@@ -218,11 +224,119 @@ def test_oddness_mechanism(b2):
         if theta.is_zero():
             continue
         for h in b2.hyperplanes:
-            val = theta.apply_form(h.form)
+            val = theta.apply(h.form.to_poly())
             if val.is_zero():
                 continue
-            order = val.order_along(h.form)
+            order = val.as_poly().multiplicity_along(h.form)
             assert order % 2 == 1  # fixed vectors vanish to odd order
             if order % 2 == 0:
                 m = {hh: (order + 1 if hh == h else -5) for hh in b2.hyperplanes}
                 assert log_membership(theta, b2, Multiplicity(b2, m))
+
+
+def reduced_order(x, form):
+    """Order of a nonzero fraction along form = 0, read off its reduced form."""
+    x = LogRational(x.num, x.den)  # the numerator keeps no factor of a pole
+    return -x.den[form] if form in x.den else x.num.multiplicity_along(form)
+
+
+def reference_failures(theta, arr, mult):
+    """(H, reasons) at the first hyperplane where membership fails, by reduced
+    fractions: the order of theta(alpha_H) and of each tangential coefficient."""
+    for h in arr.hyperplanes:
+        a, norm = h.form.coeffs, h.form.norm_sq()
+        val = theta.apply(h.form.to_poly())
+        reasons = set()
+        tangential = [c - val * (a[j] / norm) for j, c in enumerate(theta.coeffs)]
+        if any(t and reduced_order(t, h.form) < 0 for t in tangential):
+            reasons.add("tangential pole")
+        if val and reduced_order(val, h.form) < mult.of(h):
+            reasons.add("order below multiplicity")
+        if reasons:
+            return h.form, reasons
+    return None
+
+
+MEMBERSHIP_ARRANGEMENTS = {"B2": ("B", 2), "B3": ("B", 3), "G2": ("G2", None)}
+
+
+@st.composite
+def membership_cases(draw):
+    """A derivation with poles and a multiplicity at or near its orders.
+
+    Poles along the normal direction keep theta in D(A, -infinity); a pole
+    off it sometimes breaks that.  Some coefficients come unreduced.  m(H)
+    is the order of theta(alpha_H) or one less (negative along a pole), and
+    at most one hyperplane asks for one more.
+    """
+    family, rank = MEMBERSHIP_ARRANGEMENTS[draw(st.sampled_from(sorted(MEMBERSHIP_ARRANGEMENTS)))]
+    arr = cached_arrangement(family, rank=rank)
+    n, forms = arr.rank, arr.forms()
+    some_form = st.integers(0, len(forms) - 1)
+
+    def small_poly(min_size=0):
+        p = Poly.zero(n)
+        for e, c in draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * n),
+                                            st.integers(-2, 2)), min_size=min_size, max_size=3)):
+            p = p + Poly.monomial(n, e, c)
+        return p
+
+    coeffs = [LogRational.from_poly(small_poly()) for _ in range(n)]
+    for i, e in draw(st.dictionaries(some_form, st.integers(1, 2), max_size=3)).items():
+        s = small_poly()
+        coeffs = [c + LogRational(s * a, {forms[i]: e}) if a else c
+                  for c, a in zip(coeffs, forms[i].coeffs)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        coeffs[j] = coeffs[j] + LogRational(small_poly(1), {forms[draw(some_form)]: 1})
+    for j, c in enumerate(coeffs):
+        for i in draw(st.lists(some_form, max_size=1)):
+            den = dict(c.den)
+            den[forms[i]] = den.get(forms[i], 0) + 1
+            coeffs[j] = LogRational(c.num * forms[i].to_poly(), den, reduce=False)
+    theta = Derivation(coeffs)
+    assume(not theta.is_zero())
+    values = {}
+    for h in arr.hyperplanes:
+        val = theta.apply(h.form.to_poly())
+        values[h] = (reduced_order(val, h.form) - draw(st.integers(0, 1)) if val
+                     else draw(st.integers(-2, 2)))
+    bump = draw(st.integers(-1, len(arr.hyperplanes) - 1))
+    if bump >= 0:
+        values[arr.hyperplanes[bump]] += 1
+    return arr, theta, Multiplicity(arr, values)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(membership_cases())
+def test_membership_witness_matches_reduced_orders(case):
+    arr, theta, mult = case
+    expected = reference_failures(theta, arr, mult)
+    witness = membership_witness(theta, arr, mult)
+    if expected is None:
+        assert witness is None
+    else:
+        form, reasons = expected
+        assert witness is not None and witness[1] == form
+        assert witness[0] in reasons  # either reason when both conditions fail
+
+
+BUNDLE = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "certificates.json.gz"
+
+
+def test_membership_witness_builds_no_fraction(monkeypatch):
+    # E^(-1,1) case 4 of B3 has poles along the first orbit
+    cert = certificate_from_json(json.loads(gzip.decompress(BUNDLE.read_bytes()))["B3_p-1_q1_c4"])
+    assert any(c.den for theta in cert.basis for c in theta.coeffs)
+    arr = cached_arrangement("B", rank=3)
+    built = []
+    init = LogRational.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LogRational, "__init__", counting_init)
+    assert all(membership_witness(theta, arr, cert.multiplicity) is None
+               for theta in cert.basis)
+    assert not built
