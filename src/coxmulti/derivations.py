@@ -9,11 +9,11 @@ coefficients along theta componentwise.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .coxeter import ArrangementData, InvariantSystem, Multiplicity
 from .linalg import Matrix, scalar_inverse, solve_over_fractions
-from .poly import LinearForm, LogRational, Poly
+from .poly import LinearForm, LogRational, Poly, common_denominator
 from .scalars import Scalar
 
 
@@ -198,13 +198,11 @@ def membership_witness(theta: Derivation, arr: ArrangementData,
     """
     if theta.is_zero():
         raise ValueError("membership of the zero derivation")
+    den = common_denominator(c.den for c in theta.coeffs)
     allowed = set(arr.forms())
-    den: Dict[LinearForm, int] = {}
-    for c in theta.coeffs:
-        for f, e in c.den.items():
-            if f not in allowed:
-                raise ValueError(f"foreign denominator form {f}")
-            den[f] = max(den.get(f, 0), e)
+    for f in den:
+        if f not in allowed:
+            raise ValueError(f"foreign denominator form {f}")
     nums = [c.numerator_over(den) for c in theta.coeffs]
     for h in arr.hyperplanes:
         pole = den.get(h.form, 0)

@@ -5,38 +5,35 @@ recursion, primitive decompositions and the equivariant-odd closure.
 Inverse covariant derivatives are found by exact linear solves on a finite
 candidate space: invariant numerator vectors are spanned by invariant
 multiples of the gradient fields (the invariant derivation module is free
-over the invariant ring on the gradients), over an even power of the first
-orbit product as denominator.  Uniqueness in the invariant module makes the
-solution exact and canonical; pole bounds escalate on failure.
+over the invariant ring on the gradients), over the orbit powers that the
+bidegree (p, q) of the solution fixes as denominator.  Uniqueness in the
+invariant module makes the solution exact and canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .coxeter import (ArrangementData, InvariantSystem, Multiplicity,
                       basic_invariants, cached_arrangement)
 from .derivations import (Derivation, combine, coordinate_field, covariant_derivative,
                           euler, group_action, membership_conditions, partial_derivation)
-from .linalg import Matrix, solve_affine, solve_over_fractions
-from .poly import LinearForm, LogRational, Poly
+from .linalg import Matrix, bareiss_determinant, rref, solve_affine, solve_over_fractions
+from .poly import LinearForm, LogRational, Poly, common_denominator, form_product
 from .scalars import Scalar
 from .verify import (divisibility_rows, fixed_part, invariance_check, monomials_of_degree,
                      oracle_denominator, oracle_solution_space, saito_check)
 
 
 class SolverError(Exception):
-    """Inverse covariant solve failed within the configured pole bounds."""
+    """An exact solve found no solution within its pole or degree bounds."""
 
 
 class EngineError(Exception):
     """Internal consistency failure (a constructed basis did not verify)."""
 
-
-# times the candidate denominators Q1^{N1} Q2^{N2} grow before a solve gives up
-POLE_ESCALATIONS = 4
 
 CASE_FRAMES = {1: "W", 2: "W1", 3: "W2", 4: "X"}
 
@@ -71,10 +68,9 @@ def pq_for_multiplicity(m1: int, m2: int) -> Tuple[int, int, int]:
 class EpqContext:
     """Arrangement with invariant systems, primitive derivations and caches."""
 
-    def __init__(self, arr: ArrangementData,
-                 seeds: Optional[Sequence[Tuple[int, ...]]] = None):
+    def __init__(self, arr: ArrangementData):
         self.arr = arr
-        self.sys_w = basic_invariants(arr, "W", seeds=list(seeds) if seeds else None)
+        self.sys_w = basic_invariants(arr, "W")
         self.sys_w1 = basic_invariants(arr, "W1")
         self.sys_w2 = basic_invariants(arr, "W2")
         self.h = self.sys_w.coxeter_number
@@ -125,19 +121,18 @@ class EpqContext:
         return f"EpqContext({self.arr.family}, rank {self.arr.rank})"
 
 
-_CONTEXT_CACHE: Dict[Tuple, EpqContext] = {}
+_CONTEXT_CACHE: Dict[int, EpqContext] = {}
 
 
-def make_context(family: str, rank: Optional[int] = None, n: Optional[int] = None,
-                 seeds: Optional[Sequence[Tuple[int, ...]]] = None) -> EpqContext:
-    """Contexts are cached per configuration; they are immutable apart from
+def make_context(family: str, rank: Optional[int] = None,
+                 n: Optional[int] = None) -> EpqContext:
+    """Contexts are cached per arrangement; they are immutable apart from
     monotone caches, so sharing across callers is safe."""
     arr = cached_arrangement(family, rank=rank, n=n)
-    key = (id(arr), tuple(seeds) if seeds else None)
-    ctx = _CONTEXT_CACHE.get(key)
+    ctx = _CONTEXT_CACHE.get(id(arr))
     if ctx is None:
-        ctx = EpqContext(arr, seeds=seeds)
-        _CONTEXT_CACHE[key] = ctx
+        ctx = EpqContext(arr)
+        _CONTEXT_CACHE[id(arr)] = ctx
     return ctx
 
 
@@ -185,57 +180,47 @@ def forward_power(ctx: EpqContext, delta: Derivation, k: int, theta: Derivation)
     return out
 
 
-def _equate_combination(cand_derivs: List[List[LogRational]],
-                        target: Derivation) -> Tuple[List[List[Scalar]], List[Scalar]]:
-    """Linear system: sum_t lambda_t cand[t] = target, componentwise."""
-    ncand = len(cand_derivs)
-    nvars = target.nvars
-    rows: Dict[Tuple, List[Scalar]] = {}
-    rhs: Dict[Tuple, Scalar] = {}
-    for j in range(nvars):
-        entries = [c[j] for c in cand_derivs] + [target.coeffs[j]]
-        common: Dict[LinearForm, int] = {}
-        for e in entries:
-            for f, kk in e.den.items():
-                common[f] = max(common.get(f, 0), kk)
-        for t, e in enumerate(entries):
-            for mono, cf in e.numerator_over(common).terms.items():
-                key = (j, mono)
-                if t == ncand:
-                    rhs[key] = cf
-                else:
-                    row = rows.get(key)
-                    if row is None:
-                        row = [Fraction(0)] * ncand
-                        rows[key] = row
-                    row[t] = row[t] + cf
-    keys = sorted(set(rows) | set(rhs))
-    a = [rows.get(k, [Fraction(0)] * ncand) for k in keys]
-    b = [rhs.get(k, Fraction(0)) for k in keys]
-    return a, b
+def covariant_numerators(delta: Derivation, den: Mapping[LinearForm, int],
+                         polys: Sequence[Poly]) -> Tuple[List[Poly], Dict[LinearForm, int]]:
+    """delta(G / den) for each G in polys, as numerators over one denominator.
 
+    With delta = (D_1 .. D_l) / Delta cleared once, delta'(P) = sum_i D_i dP/dx_i
+    and L the product of the forms of den = prod f^{k_f}, the quotient rule reads
+    delta(G / den) = (L delta'(G) - R G) / (Delta den L),
+    R = sum_f k_f delta'(f) L / f.  Returns the numerators and Delta den L.
+    """
+    n = delta.nvars
+    delta_den = common_denominator(c.den for c in delta.coeffs)
+    lead = [c.numerator_over(delta_den) for c in delta.coeffs]
 
-def _invariant_exponents(degrees: Sequence[int], total: int) -> List[Tuple[int, ...]]:
-    if total < 0:
-        return []
-    if not degrees:
-        return [()] if total == 0 else []
-    out = []
-    d0 = degrees[0]
-    for e in range(total // d0 + 1):
-        for rest in _invariant_exponents(degrees[1:], total - e * d0):
-            out.append((e,) + rest)
-    return out
+    def prime(p: Poly) -> Poly:
+        acc = Poly.zero(n)
+        for i, d_i in enumerate(lead):
+            if d_i:
+                acc = acc + d_i * p.partial(i)
+        return acc
+
+    ell = form_product(n, {f: 1 for f in den})
+    r = Poly.zero(n)
+    for f, k in den.items():
+        rest = form_product(n, {g: 1 for g in den if g != f})
+        r = r + combine(f.coeffs, lead) * rest * k
+    out_den = dict(delta_den)
+    for f, k in den.items():
+        out_den[f] = out_den.get(f, 0) + k + 1
+    return [ell * prime(g) - r * g for g in polys], out_den
 
 
 def invert_covariant(ctx: EpqContext, delta_tag: str, zeta: Derivation,
                      target_pq: Tuple[int, Optional[int]]) -> Derivation:
     """The unique eta in the invariant module with nabla_delta eta = zeta.
 
-    delta_tag "D" solves in D(A,-infinity)^W over denominators
+    delta_tag "D" solves in D(A,-infinity)^W over the denominator
     Q1^{N1} Q2^{N2}; "D1" solves in D(A_1,-infinity)^{W1} over Q1^{N1}.
-    target_pq carries the universality bidegree of eta and seeds the pole
-    bounds; escalation adds to them until the system is solvable.
+    target_pq = (p, q) is the universality bidegree of eta (q is None for
+    "D1") and fixes the pole bounds N1 = max(0, -2p), N2 = max(0, -2q):
+    E^(p,q) has no deeper pole along either orbit.  Raises SolverError
+    when no eta exists at these bounds.
     """
     if zeta.is_zero():
         return Derivation.zero(ctx.arr.rank)
@@ -252,60 +237,59 @@ def invert_covariant(ctx: EpqContext, delta_tag: str, zeta: Derivation,
     zdeg = zeta.degree()
     if zdeg is None:
         raise ValueError("zeta must be homogeneous")
-    target_deg = zdeg + hh
     p, q = target_pq
     n1 = max(0, -2 * p)
-    n2 = 0 if q is None else max(0, -2 * q)
-    last_error = None
-    for extra in range(POLE_ESCALATIONS + 1):
-        m1 = -((n1 + 2 * extra) // -2)  # ceil to even denominators
-        m2 = 0 if delta_tag == "D1" else -((n2 + 2 * extra) // -2)
-        den: Dict[LinearForm, int] = {}
-        for f in arr.orbit_forms(1):
-            if m1:
-                den[f] = 2 * m1
-        if delta_tag == "D":
-            for f in arr.orbit_forms(2):
-                if m2:
-                    den[f] = 2 * m2
-        den_deg = sum(den.values())
-        candidates: List[List[Poly]] = []
-        for i in range(rank):
-            d_i = system.degrees[i]
-            fdeg = target_deg + den_deg - (d_i - 1)
-            col = system.jacobian.column(i)
-            for exps in _invariant_exponents(system.degrees, fdeg):
-                f = ctx.invariant_monomial(system.group, exps)
-                candidates.append([f * col[j] for j in range(rank)])
-        if not candidates:
-            last_error = "empty candidate space"
-            continue
-        rows: List[List[Scalar]] = []
-        for form in membership_forms:
-            for weights, k in membership_conditions(form, den.get(form, 0), 0):
-                polys = [combine(weights, cand) for cand in candidates]
-                rows.extend(divisibility_rows(arr, polys, form, k))
-        rhs: List[Scalar] = [Fraction(0)] * len(rows)
-        cand_derivs = []
-        for cand in candidates:
-            lr = [LogRational(cand[j], den) for j in range(rank)]
-            cand_derivs.append([delta.apply(c) for c in lr])
-        a_rows, b_vals = _equate_combination(cand_derivs, zeta)
-        rows.extend(a_rows)
-        rhs.extend(b_vals)
-        solved = solve_affine(rows, rhs)
-        if solved is None:
-            last_error = f"no solution at pole bounds ({2*m1}, {2*m2})"
-            continue
-        particular, null = solved
-        if null:
-            raise EngineError("inverse covariant solution is not unique")
-        eta = Derivation([LogRational(combine(particular, [cand[j] for cand in candidates]), den)
-                          for j in range(rank)])
-        if covariant_derivative(delta, eta) != zeta:
-            raise EngineError("inverse covariant residual is nonzero")
-        return eta
-    raise SolverError(f"invert_covariant failed for {delta_tag}: {last_error}")
+    n2 = max(0, -2 * q) if delta_tag == "D" else 0
+    bounds = f"invert_covariant for {delta_tag} at pole bounds ({n1}, {n2})"
+    den: Dict[LinearForm, int] = {f: n1 for f in arr.orbit_forms(1) if n1}
+    den.update({f: n2 for f in arr.orbit_forms(2) if n2})
+    candidates: List[List[Poly]] = []
+    for i in range(rank):
+        fdeg = zdeg + hh + sum(den.values()) - (system.degrees[i] - 1)
+        col = system.jacobian.column(i)
+        for exps in monomials_of_degree(system.degrees, fdeg):
+            f = ctx.invariant_monomial(system.group, exps)
+            candidates.append([f * col[j] for j in range(rank)])
+    if not candidates:
+        raise SolverError(f"{bounds}: empty candidate space")
+    ncand = len(candidates)
+    rows: List[List[Scalar]] = []
+    for form in membership_forms:
+        for weights, k in membership_conditions(form, den.get(form, 0), 0):
+            polys = [combine(weights, cand) for cand in candidates]
+            rows.extend(divisibility_rows(arr, polys, form, k))
+    rhs: List[Scalar] = [Fraction(0)] * len(rows)
+    # nabla_delta(sum_t lambda_t cand_t / den) = zeta, compared over the lcm
+    # of the two denominators in each component j, one row per (j, monomial)
+    nums, lhs_den = covariant_numerators(delta, den, [c[j] for c in candidates
+                                                      for j in range(rank)])
+    eq_rows: Dict[Tuple, List[Scalar]] = {}
+    eq_rhs: Dict[Tuple, Scalar] = {}
+    for j, target in enumerate(zeta.coeffs):
+        common = common_denominator((lhs_den, target.den))
+        cofactor = form_product(rank, {f: e - lhs_den.get(f, 0) for f, e in common.items()})
+        for mono, cf in target.numerator_over(common).terms.items():
+            eq_rhs[(j, mono)] = cf
+        for t in range(ncand):
+            for mono, cf in (nums[t * rank + j] * cofactor).terms.items():
+                row = eq_rows.get((j, mono))
+                if row is None:
+                    row = eq_rows[(j, mono)] = [Fraction(0)] * ncand
+                row[t] = row[t] + cf
+    for key in sorted(set(eq_rows) | set(eq_rhs)):
+        rows.append(eq_rows.get(key, [Fraction(0)] * ncand))
+        rhs.append(eq_rhs.get(key, Fraction(0)))
+    solved = solve_affine(rows, rhs)
+    if solved is None:
+        raise SolverError(f"{bounds}: no solution")
+    particular, null = solved
+    if null:
+        raise EngineError("inverse covariant solution is not unique")
+    eta = Derivation([LogRational(combine(particular, [cand[j] for cand in candidates]), den)
+                      for j in range(rank)])
+    if covariant_derivative(delta, eta) != zeta:
+        raise EngineError("inverse covariant residual is nonzero")
+    return eta
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +432,7 @@ def rank2_basis(ctx: EpqContext, mult: Multiplicity) -> BasisCertificate:
             if vectors:
                 stack = []
                 for theta, e in zip(selected, sel_degrees):
-                    for mono in monomials_of_degree(2, d - e):
+                    for mono in monomials_of_degree((1, 1), d - e):
                         shifted = theta * Poly.monomial(2, mono)
                         stack.append(_space_coordinates(space, shifted))
                 got = _independent_extension(stack, vectors)
@@ -474,8 +458,6 @@ def _space_coordinates(space, theta: Derivation) -> List[Scalar]:
 
 def _independent_extension(stack: List[List[Scalar]], vectors: List[List[Scalar]]):
     """Vectors extending the span of the stack, greedily and deterministically."""
-    from .linalg import rref
-
     got = []
     cur = list(stack)
     rank0 = len(rref(cur)[1]) if cur else 0
@@ -538,8 +520,6 @@ def recursion_step(ctx: EpqContext, theta_tuple: Sequence[Derivation]) -> Recurs
             row.append(p)
         b_polys.append(row)
     b_poly_mat = Matrix(b_polys)
-    from .linalg import bareiss_determinant
-
     detb = bareiss_determinant(b_polys)
     if not detb.is_constant() or not detb.constant_value():
         raise EngineError("det B is not a nonzero constant")

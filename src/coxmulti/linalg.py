@@ -3,7 +3,7 @@
 Determinants of polynomial matrices use fraction-free Bareiss elimination
 (every intermediate division is exact and asserted); matrices of
 LogRational entries are cleared row by row first.  Solving returns reduced
-LogRational entries and reports failure as a value so callers can escalate.
+LogRational entries and reports failure as a value (None), not an exception.
 """
 
 from __future__ import annotations

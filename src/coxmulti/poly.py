@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .scalars import (AlgebraicNumber, Scalar, as_fraction, scalar_determinant,
                       scalar_is_rational)
@@ -522,7 +522,7 @@ class LogRational:
             other = LogRational.from_poly(other)
         if not isinstance(other, LogRational):
             return NotImplemented
-        common = self._common_den(other)
+        common = common_denominator((self.den, other.den))
         return self.numerator_over(common) == other.numerator_over(common)
 
     def __hash__(self):
@@ -538,18 +538,11 @@ class LogRational:
         return self.num * form_product(self.nvars, {f: e - self.den.get(f, 0)
                                                     for f, e in den.items()})
 
-    def _common_den(self, other: "LogRational") -> Dict[LinearForm, int]:
-        """The least common multiple of the two denominators."""
-        common: Dict[LinearForm, int] = dict(self.den)
-        for f, e in other.den.items():
-            common[f] = max(common.get(f, 0), e)
-        return common
-
     def __add__(self, other):
         o = LogRational.coerce(other, self.nvars)
         if self.nvars != o.nvars:
             raise ValueError("ambient dimension mismatch")
-        common = self._common_den(o)
+        common = common_denominator((self.den, o.den))
         return LogRational(self.numerator_over(common) + o.numerator_over(common), common)
 
     __radd__ = __add__
@@ -648,6 +641,16 @@ class LogRational:
 
     def __repr__(self):
         return self.render()
+
+
+def common_denominator(dens: Iterable[Mapping[LinearForm, int]]) -> Dict[LinearForm, int]:
+    """The least common multiple of products of form powers, each given as
+    form -> exponent (the den of a LogRational, say), in first-seen order."""
+    common: Dict[LinearForm, int] = {}
+    for den in dens:
+        for f, e in den.items():
+            common[f] = max(common.get(f, 0), e)
+    return common
 
 
 def form_product(nvars: int, exps: Mapping[LinearForm, int]) -> Poly:

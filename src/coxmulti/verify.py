@@ -15,7 +15,7 @@ from itertools import count
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coxeter import ArrangementData, InvariantSystem, Multiplicity
+from .coxeter import ArrangementData, InvariantSystem, Multiplicity, basic_invariants
 from .derivations import Derivation, group_action, membership_conditions, membership_witness
 from .linalg import rational_nullspace, scalar_inverse
 from .poly import LinearForm, LogRational, Poly
@@ -118,14 +118,19 @@ class OracleSpace:
         return Derivation(coeffs)
 
 
-def monomials_of_degree(nvars: int, d: int) -> List[Tuple[int, ...]]:
+def monomials_of_degree(weights: Sequence[int], d: int) -> List[Tuple[int, ...]]:
+    """Exponent tuples e with sum weights[i] e_i = d, first exponent slowest.
+
+    With unit weights these are the monomials of degree d; with the degrees
+    of basic invariants, the invariant monomials of degree d.
+    """
     if d < 0:
         return []
-    if nvars == 1:
-        return [(d,)]
+    if not weights:
+        return [()] if d == 0 else []
     out = []
-    for k in range(d + 1):
-        for rest in monomials_of_degree(nvars - 1, d - k):
+    for k in range(d // weights[0] + 1):
+        for rest in monomials_of_degree(weights[1:], d - k * weights[0]):
             out.append((k,) + rest)
     return out
 
@@ -208,7 +213,7 @@ def oracle_solution_space(arr: ArrangementData, mult: Multiplicity, d: int) -> O
     num_deg = d + sum(den.values())
     if num_deg < 0:
         return OracleSpace(arr, mult, d, den, [], [])
-    monomials = monomials_of_degree(n, num_deg)
+    monomials = monomials_of_degree([1] * n, num_deg)
     nm = len(monomials)
 
     rows: List[List[Scalar]] = []
@@ -353,8 +358,6 @@ def invariant_basis_obstruction(arr: ArrangementData, mult: Multiplicity,
     fixed-part dimensions sum_i dim R_{d-e_i}; returns the first degree in
     the window where the oracle disagrees, or None if none does.
     """
-    from .coxeter import basic_invariants
-
     degrees = basic_invariants(arr, "W").degrees
     for d in range(d_min, d_max + 1):
         expected = 0

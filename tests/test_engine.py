@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from coxmulti import engine
 from coxmulti.coxeter import Multiplicity
 from coxmulti.derivations import (Derivation, covariant_derivative, euler,
                                   group_action, log_membership, partial_derivation)
-from coxmulti.engine import (case_multiplicity_pair, e_pq, equivariant_basis,
-                             forward_power, invert_covariant, m_star, make_context,
-                             nabla_frame, pq_for_multiplicity,
+from coxmulti.engine import (SolverError, case_multiplicity_pair, covariant_numerators, e_pq,
+                             equivariant_basis, forward_power, invert_covariant, m_star,
+                             make_context, nabla_frame, pq_for_multiplicity,
                              primitive_decomposition, recover_zeta,
                              recursion_step, theta_basis)
 from coxmulti.linalg import Matrix, bareiss_determinant, solve_over_fractions
@@ -97,6 +100,67 @@ def test_invert_roundtrips(b2):
     assert invert_covariant(b2, "D1", b2.D1, (0, None)) == e
 
 
+@st.composite
+def numerator_cases(draw):
+    rank = draw(st.sampled_from([2, 3]))
+    tag = draw(st.sampled_from(["D", "D1"]))
+    powers = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * rank),
+                            st.integers(-3, 3).filter(bool), max_size=3)
+    g = [Poly(rank, {e: Fraction(c) for e, c in draw(terms).items()}) for _ in range(rank)]
+    return rank, tag, powers, g
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(numerator_cases())
+def test_covariant_numerators_match_connection(case):
+    # the quotient rule over numerators against nabla over reduced fractions
+    rank, tag, (k1, k2), g = case
+    ctx = make_context("B", rank=rank)
+    delta = ctx.D if tag == "D" else ctx.D1
+    den = {f: k1 for f in ctx.arr.orbit_forms(1)}
+    den.update({f: k2 for f in ctx.arr.orbit_forms(2) if k2})
+    nums, out_den = covariant_numerators(delta, den, g)
+    expected = covariant_derivative(delta, Derivation([LogRational(p, den) for p in g]))
+    assert Derivation([LogRational(n, out_den) for n in nums]) == expected
+
+
+def test_invert_covariant_pole_bound_comes_from_bidegree(b2):
+    # E^(-1,1) has poles along orbit 1; the bidegree (0, 1) allows none
+    zeta = e_pq(b2, -2, 0)
+    with pytest.raises(SolverError, match=r"pole bounds \(0, 0\)"):
+        invert_covariant(b2, "D", zeta, (0, 1))
+    assert invert_covariant(b2, "D", zeta, (-1, 1)) == e_pq(b2, -1, 1)
+
+
+def test_invert_covariant_divides_nothing_before_solving(b3, monkeypatch):
+    calls = [("D", e_pq(b3, -2, 0), (-1, 1)), ("D1", e_pq(b3, 0, 0), (1, None))]
+    events = []
+    divide, init, solve = Poly.divide_exact, LogRational.__init__, engine.solve_affine
+
+    def counting_divide(self, d):
+        events.append("divide")
+        return divide(self, d)
+
+    def counting_init(self, *args, **kwargs):
+        events.append("fraction")
+        init(self, *args, **kwargs)
+
+    def counting_solve(rows, rhs):
+        events.append("solve")
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(Poly, "divide_exact", counting_divide)
+    monkeypatch.setattr(LogRational, "__init__", counting_init)
+    monkeypatch.setattr(engine, "solve_affine", counting_solve)
+    for tag, zeta, pq in calls:
+        events.clear()
+        eta = invert_covariant(b3, tag, zeta, pq)
+        assert events.count("solve") == 1
+        assert events[:events.index("solve")] == []
+        assert covariant_derivative(b3.D if tag == "D" else b3.D1, eta) == zeta
+
+
 def test_invert_d_of_euler(b2):
     eta = invert_covariant(b2, "D", euler(2), (1, 1))
     assert eta.degree() == 1 + 4
@@ -137,6 +201,18 @@ def test_theta_basis_examples(b2, b3):
     assert cert.basis[1] == partial_derivation(2, 1)
     cert = theta_basis(b2, 1, 1, 4)
     assert cert.multiplicity.orbit_pair() == (2, 2) and cert.exponents == [4, 4]
+
+
+@pytest.mark.parametrize("p", [-3, -2])
+@pytest.mark.parametrize("case", [1, 2, 3, 4])
+def test_theta_basis_b2_deep_poles(b2, p, case):
+    # the pole bounds of E^(p,q) grow with -p; the oracle checks each basis
+    for q in range(-3, 4):
+        cert = theta_basis(b2, p, q, case)
+        assert cert.saito_c != 0
+        lo, hi = min(cert.exponents), max(cert.exponents)
+        rep = hilbert_compare(b2.arr, cert.multiplicity, cert.exponents, hi + 1, d_min=lo - 1)
+        assert rep.ok, f"oracle mismatch at (p,q)=({p},{q}): {rep.mismatches}"
 
 
 def test_case_multiplicity_mapping():

@@ -12,8 +12,8 @@ from coxmulti.linalg import Matrix, determinant, logrational_ratio, rational_nul
 from coxmulti.poly import LinearForm, LogRational, Poly, form_product
 from coxmulti.verify import (VerificationError, divisibility_rows, free_module_dimension,
                              hilbert_compare, invariance_check, invariant_basis_obstruction,
-                             invariant_oracle_dimension, mstar_experiment,
-                             oracle_module_dimension, poincare_check, saito_check,
+                             invariant_oracle_dimension, monomials_of_degree,
+                             mstar_experiment, oracle_module_dimension, poincare_check, saito_check,
                              saito_point, series_coefficients)
 
 X = Poly.variable(2, 0)
@@ -28,6 +28,14 @@ def b2():
 @pytest.fixture(scope="module")
 def g2():
     return make_context("G2")
+
+
+def test_monomials_of_degree_weighted():
+    assert monomials_of_degree((1, 1, 1), 2) == [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1),
+                                                 (1, 1, 0), (2, 0, 0)]
+    assert monomials_of_degree((2, 4), 8) == [(0, 2), (2, 1), (4, 0)]
+    assert monomials_of_degree((2, 4), 7) == [] == monomials_of_degree((1, 1), -1)
+    assert monomials_of_degree((), 0) == [()]
 
 
 def test_saito_partials(b2):
