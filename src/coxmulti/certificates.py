@@ -110,6 +110,7 @@ def decode_poly(obj: Dict, field: Optional[NumberField]) -> Poly:
 
 
 def encode_logrational(x: LogRational) -> Dict:
+    x = x.reduced()
     den = sorted(x.den.items(), key=lambda t: t[0])
     return {
         "num": encode_poly(x.num),
@@ -130,7 +131,7 @@ def decode_logrational(obj: Dict, field: Optional[NumberField]) -> LogRational:
         if any(a != b for a, b in zip(form.coeffs, raw)):
             raise ValueError(f"malformed denominator form {coeffs!r:.60}: not normalized")
         den[form] = _integer(e, "denominator exponent")
-    return LogRational(num, den)
+    return LogRational(num, den).reduced()
 
 
 def encode_derivation(theta: Derivation) -> Dict:

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import factorial, gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import Matrix, bareiss_determinant, scalar_matmul
@@ -141,8 +142,6 @@ class ArrangementData:
         return cached
 
     def _expected_order(self, group: str) -> Optional[int]:
-        from math import factorial
-
         rank = self.rank
         if self.family == "B":
             return {"W": 2 ** rank * factorial(rank), "W1": 2 ** rank,
@@ -430,8 +429,6 @@ def _seed_monomial(exps: Tuple[int, ...]) -> Poly:
 
 
 def _integerize(p: Poly) -> Poly:
-    from math import gcd, lcm
-
     dens = [c.denominator for c in p.terms.values()]
     nums = [abs(c.numerator) for c in p.terms.values()]
     scale = Fraction(lcm(*dens) if dens else 1)

@@ -79,7 +79,7 @@ class Derivation:
             if df.is_zero():
                 continue
             acc = acc + c * df
-        return acc
+        return acc.reduced()
 
     def degree(self) -> Optional[int]:
         """Homogeneity degree; None when inhomogeneous or zero."""
@@ -125,16 +125,19 @@ def covariant_derivative(theta: Derivation, delta: Derivation) -> Derivation:
 
 
 def group_action(w, theta: Derivation) -> Derivation:
-    """(w theta)(f) = w(theta(w^{-1} f)) for an invertible matrix w."""
+    """(w theta)(f) = w(theta(w^{-1} f)) for an invertible matrix w; each
+    coefficient is moved before the rows of w combine them, so that no
+    unreduced sum is substituted."""
     n = theta.nvars
     winv = scalar_inverse(w)
+    moved = [c.substitute_matrix(winv) for c in theta.coeffs]
     new = []
     for j in range(n):
         acc = LogRational.zero(n)
         for k in range(n):
             if w[j][k]:
-                acc = acc + theta.coeffs[k] * w[j][k]
-        new.append(acc.substitute_matrix(winv))
+                acc = acc + moved[k] * w[j][k]
+        new.append(acc)
     return Derivation(new)
 
 

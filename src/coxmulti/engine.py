@@ -285,8 +285,8 @@ def invert_covariant(ctx: EpqContext, delta_tag: str, zeta: Derivation,
     particular, null = solved
     if null:
         raise EngineError("inverse covariant solution is not unique")
-    eta = Derivation([LogRational(combine(particular, [cand[j] for cand in candidates]), den)
-                      for j in range(rank)])
+    eta = Derivation([LogRational(combine(particular, [cand[j] for cand in candidates]),
+                                  den).reduced() for j in range(rank)])
     if covariant_derivative(delta, eta) != zeta:
         raise EngineError("inverse covariant residual is nonzero")
     return eta
@@ -326,18 +326,17 @@ def nabla_frame(ctx: EpqContext, tag: str, zeta: Derivation) -> List[Derivation]
     rank = ctx.arr.rank
     partials = [Derivation([c.partial(k) for c in zeta.coeffs]) for k in range(rank)]
     if tag == "X":
-        return partials
-    out = []
-    for i in range(rank):
-        frame = ctx.coordinate_frame(tag, i)
-        acc = Derivation.zero(rank)
-        for k in range(rank):
-            v = frame.coeffs[k]
-            if v.is_zero():
-                continue
-            acc = acc + partials[k] * v
-        out.append(acc)
-    return out
+        out = partials
+    else:
+        out = []
+        for i in range(rank):
+            frame = ctx.coordinate_frame(tag, i)
+            acc = Derivation.zero(rank)
+            for k, v in enumerate(frame.coeffs):
+                if v:
+                    acc = acc + partials[k] * v
+            out.append(acc)
+    return [Derivation([c.reduced() for c in theta.coeffs]) for theta in out]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ LogRational entries and reports failure as a value (None), not an exception.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import LinearForm, LogRational, Poly
@@ -101,8 +102,6 @@ def _laplace_determinant(entries: List[List[LogRational]], nvars: int) -> LogRat
     cleared-polynomial intermediates a fraction-free elimination would carry,
     so this is the right algorithm once denominators appear.
     """
-    from itertools import combinations
-
     n = len(entries)
     memo: Dict[Tuple[int, ...], LogRational] = {(): LogRational.const(nvars, 1)}
     for size in range(1, n + 1):
@@ -117,7 +116,7 @@ def _laplace_determinant(entries: List[List[LogRational]], nvars: int) -> LogRat
                 sub = tuple(x for x in cols if x != c)
                 term = e * memo[sub]
                 acc = acc + term if (row + idx) % 2 == 0 else acc - term
-            nxt[cols] = acc
+            nxt[cols] = acc.reduced()
         memo = nxt
     return memo[tuple(range(n))]
 
@@ -151,11 +150,11 @@ def logrational_ratio(a: LogRational, b: LogRational,
         k, rest = rest.strip_form(form)
         out = out.mul_form_power(form, -k)
     if rest.is_constant():
-        return out * (1 / rest.constant_value())
+        return (out * (1 / rest.constant_value())).reduced()
     q = out.num.divide_exact(rest)
     if q is None:
         return None
-    return LogRational(q, out.den)
+    return LogRational(q, out.den).reduced()
 
 
 def solve_over_fractions(m: Matrix, rhs: Matrix,

@@ -3,9 +3,9 @@
 Poly maps exponent tuples to nonzero coefficients (Fraction or
 AlgebraicNumber); the zero polynomial is the empty map.  LinearForm is a
 normalized nonzero covector so hyperplane identity is syntactic equality.
-LogRational is a reduced quotient whose denominator is a product of powers
-of pairwise non-proportional linear forms; it houses every rational function
-this package ever needs, since all poles sit along arrangement hyperplanes.
+LogRational is a quotient, reduced only on request, whose denominator is a
+product of powers of pairwise non-proportional linear forms; it houses every
+rational function this package needs, as all poles sit along hyperplanes.
 """
 
 from __future__ import annotations
@@ -442,12 +442,12 @@ def _form_sort_key(form: LinearForm):
 
 
 class LogRational:
-    """Reduced fraction num / prod(form^k) with poles along fixed hyperplanes."""
+    """Fraction num / prod(form^k) with poles along fixed hyperplanes; num and
+    den may share forms, which only reduced() cancels."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Optional[Mapping[LinearForm, int]] = None,
-                 reduce: bool = True):
+    def __init__(self, num: Poly, den: Optional[Mapping[LinearForm, int]] = None):
         self.num = num
         d = {f: e for f, e in (den or {}).items() if e}
         if any(e < 0 for e in d.values()):
@@ -455,30 +455,29 @@ class LogRational:
         if not num.terms:
             d = {}
         self.den = d
-        if reduce and d:
-            self._reduce()
 
-    def _reduce(self):
-        for form in list(self.den):
-            e = self.den[form]
-            k, self.num = self.num.strip_form(form, e)
+    def reduced(self) -> "LogRational":
+        """The same value with no form of den dividing num; this (num, den)
+        is the one canonical pair of the value."""
+        num, den = self.num, {}
+        for form, e in self.den.items():
+            k, num = num.strip_form(form, e)
             if k < e:
-                self.den[form] = e - k
-            else:
-                del self.den[form]
+                den[form] = e - k
+        return LogRational(num, den)
 
     # -- constructors ---------------------------------------------------
     @staticmethod
     def from_poly(p: Poly) -> "LogRational":
-        return LogRational(p, None, reduce=False)
+        return LogRational(p)
 
     @staticmethod
     def zero(nvars: int) -> "LogRational":
-        return LogRational(Poly.zero(nvars), None, reduce=False)
+        return LogRational(Poly.zero(nvars))
 
     @staticmethod
     def const(nvars: int, c) -> "LogRational":
-        return LogRational(Poly.const(nvars, c), None, reduce=False)
+        return LogRational(Poly.const(nvars, c))
 
     @staticmethod
     def coerce(x, nvars: int) -> "LogRational":
@@ -501,12 +500,13 @@ class LogRational:
         return bool(self.num)
 
     def is_poly(self) -> bool:
-        return not self.den
+        return not self.reduced().den
 
     def as_poly(self) -> Poly:
-        if self.den:
+        r = self.reduced()
+        if r.den:
             raise ValueError("denominator is nontrivial")
-        return self.num
+        return r.num
 
     def degree(self):
         """Homogeneity degree (num degree minus denominator degree)."""
@@ -524,9 +524,6 @@ class LogRational:
             return NotImplemented
         common = common_denominator((self.den, other.den))
         return self.numerator_over(common) == other.numerator_over(common)
-
-    def __hash__(self):
-        return hash((self.num, frozenset(self.den.items())))
 
     # -- arithmetic -----------------------------------------------------
     def numerator_over(self, den: Mapping[LinearForm, int]) -> Poly:
@@ -548,7 +545,7 @@ class LogRational:
     __radd__ = __add__
 
     def __neg__(self):
-        return LogRational(-self.num, self.den, reduce=False)
+        return LogRational(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-LogRational.coerce(other, self.nvars))
@@ -558,7 +555,7 @@ class LogRational:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, AlgebraicNumber)):
-            return LogRational(self.num * other, self.den, reduce=False)
+            return LogRational(self.num * other, self.den)
         o = LogRational.coerce(other, self.nvars)
         den: Dict[LinearForm, int] = dict(self.den)
         for f, e in o.den.items():
@@ -588,14 +585,14 @@ class LogRational:
             else:
                 den[form] = e - drop
             num = self.num * form.to_poly() ** (k - drop)
-            return LogRational(num, den, reduce=False)
+            return LogRational(num, den)
         den = dict(self.den)
         den[form] = den.get(form, 0) - k
         return LogRational(self.num, den)
 
     def partial(self, i: int) -> "LogRational":
         """Exact partial derivative (quotient rule over the form powers)."""
-        base = LogRational(self.num.partial(i), self.den, reduce=True)
+        base = LogRational(self.num.partial(i), self.den)
         for form, e in self.den.items():
             a_i = form.coeffs[i]
             if not a_i:
@@ -629,12 +626,13 @@ class LogRational:
         return value
 
     def render(self, names: Optional[Sequence[str]] = None) -> str:
-        num = self.num.render(names)
-        if not self.den:
+        r = self.reduced()
+        num = r.num.render(names)
+        if not r.den:
             return num
         dens = []
-        for form in sorted(self.den):
-            e = self.den[form]
+        for form in sorted(r.den):
+            e = r.den[form]
             base = f"({form.render(names)})"
             dens.append(f"{base}^{e}" if e > 1 else base)
         return f"({num}) / ({'*'.join(dens)})"

@@ -10,6 +10,7 @@ exact; no floating point enters any computation.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import List, Sequence, Tuple, Union
 
 Scalar = Union[Fraction, "AlgebraicNumber"]
@@ -171,8 +172,6 @@ class NumberField:
 
 def _rational_root_candidates(mp) -> List[Fraction]:
     # monic over Q: clear denominators, then p/q with p | a0, q | lead
-    from math import lcm
-
     den = lcm(*[c.denominator for c in mp]) if len(mp) > 1 else 1
     ints = [int(c * den) for c in mp]
     a0, an = ints[0], ints[-1]

@@ -114,7 +114,7 @@ class OracleSpace:
                 c = vec[j * nm + t]
                 if c:
                     terms[mono] = c
-            coeffs.append(LogRational(Poly(n, terms), self.den))
+            coeffs.append(LogRational(Poly(n, terms), self.den).reduced())
         return Derivation(coeffs)
 
 

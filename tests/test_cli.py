@@ -12,8 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from coxmulti.certificates import decode_poly, decode_scalar, encode_poly
 from coxmulti.cli import main
 from coxmulti.coxeter import cached_arrangement
+from coxmulti.poly import LinearForm
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -253,6 +255,21 @@ def test_verify_rejects_inhomogeneous_basis(tmp_path, capsys, b2_case1_cert):
     assert code == 4
     assert "Traceback" not in err
     assert "basis element 0 is not homogeneous" in json.loads(out)["failures"]
+
+
+def test_verify_reads_unreduced_file(tmp_path, capsys):
+    # one coefficient over one more power of one of its own forms is the
+    # same value, and verify gives the same report
+    with gzip.open(PERFBENCH / "inputs" / "certificates.json.gz") as fh:
+        blob = json.loads(json.load(fh)["B3_p-1_q0_c2"])
+    original = json.loads(_verify_blob(tmp_path, capsys, blob)[1])
+    coeff = next(c for theta in blob["basis"] for c in theta["coeffs"] if c["den"])
+    form = LinearForm([decode_scalar(a, None) for a in coeff["den"][0][0]])
+    coeff["num"] = encode_poly(decode_poly(coeff["num"], None) * form.to_poly())
+    coeff["den"][0][1] += 1
+    code, out, _ = _verify_blob(tmp_path, capsys, blob)
+    assert code == 0
+    assert json.loads(out)["saito_c"] == original["saito_c"] == blob["saito_c"]
 
 
 def test_verify_parse_error(tmp_path, capsys):

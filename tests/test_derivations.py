@@ -13,6 +13,7 @@ from coxmulti.coxeter import Multiplicity, basic_invariants, cached_arrangement
 from coxmulti.derivations import (Derivation, coordinate_field, covariant_derivative,
                                   euler, gradient_field, group_action, log_membership,
                                   membership_witness, partial_derivation)
+from coxmulti.linalg import scalar_inverse, scalar_matmul
 from coxmulti.poly import LinearForm, LogRational, Poly
 
 X = Poly.variable(2, 0)
@@ -141,8 +142,6 @@ def test_group_action_basics(b2):
 
 
 def test_group_action_homomorphism(b2):
-    from coxmulti.linalg import scalar_matmul
-
     rng = random.Random(61)
     theta = rand_derivation(rng)
     w1, w2 = b2.gens_W[0], b2.gens_W[1]
@@ -236,7 +235,7 @@ def test_oddness_mechanism(b2):
 
 def reduced_order(x, form):
     """Order of a nonzero fraction along form = 0, read off its reduced form."""
-    x = LogRational(x.num, x.den)  # the numerator keeps no factor of a pole
+    x = x.reduced()  # the numerator keeps no factor of a pole
     return -x.den[form] if form in x.den else x.num.multiplicity_along(form)
 
 
@@ -290,10 +289,11 @@ def membership_cases(draw):
         j = draw(st.integers(0, n - 1))
         coeffs[j] = coeffs[j] + LogRational(small_poly(1), {forms[draw(some_form)]: 1})
     for j, c in enumerate(coeffs):
+        c = coeffs[j] = c.reduced()
         for i in draw(st.lists(some_form, max_size=1)):
             den = dict(c.den)
             den[forms[i]] = den.get(forms[i], 0) + 1
-            coeffs[j] = LogRational(c.num * forms[i].to_poly(), den, reduce=False)
+            coeffs[j] = LogRational(c.num * forms[i].to_poly(), den)
     theta = Derivation(coeffs)
     assume(not theta.is_zero())
     values = {}
@@ -319,6 +319,39 @@ def test_membership_witness_matches_reduced_orders(case):
         form, reasons = expected
         assert witness is not None and witness[1] == form
         assert witness[0] in reasons  # either reason when both conditions fail
+
+
+def reference_action(w, theta):
+    """w . theta by the defining formula: combine by the rows of w, reduce,
+    then substitute x -> w^{-1} x."""
+    n = theta.nvars
+    winv = scalar_inverse(w)
+    out = []
+    for j in range(n):
+        acc = LogRational.zero(n)
+        for k in range(n):
+            if w[j][k]:
+                acc = acc + theta.coeffs[k] * w[j][k]
+        out.append(acc.reduced().substitute_matrix(winv))
+    return Derivation(out)
+
+
+@st.composite
+def action_cases(draw):
+    """A derivation with poles, some coefficients unreduced, and two
+    elements of its Coxeter group."""
+    arr, theta, _ = draw(membership_cases())
+    elements = arr.group_elements("W")
+    return theta, draw(st.sampled_from(elements)), draw(st.sampled_from(elements))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(action_cases())
+def test_group_action_is_an_action(case):
+    theta, w1, w2 = case
+    moved = group_action(w2, theta)
+    assert moved == reference_action(w2, theta)
+    assert group_action(w1, moved) == group_action(scalar_matmul(w1, w2), theta)
 
 
 BUNDLE = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "certificates.json.gz"

@@ -1,10 +1,16 @@
+import gzip
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxmulti.certificates import certificate_from_json
+from coxmulti.coxeter import cached_arrangement
+from coxmulti.derivations import group_action
 from coxmulti.linalg import logrational_ratio
 from coxmulti.poly import LinearForm, LogRational, Poly, form_product
 from coxmulti.scalars import cosine_field
@@ -15,6 +21,7 @@ FX = LinearForm([1, 0])
 FY = LinearForm([0, 1])
 FD = LinearForm([1, -1])
 FS = LinearForm([1, 1])
+BUNDLE = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "certificates.json.gz"
 
 
 def rand_poly(rng, nvars=2, deg=3, terms=4):
@@ -33,6 +40,25 @@ def test_logrational_reduction():
     one_over_x = LogRational(Poly.const(2, 1), {FX: 1})
     out = one_over_x * X
     assert out.is_poly() and out.as_poly() == Poly.const(2, 1)
+
+
+def test_arithmetic_divides_nothing(monkeypatch):
+    # arithmetic leaves common forms in place; only reduced() divides
+    cert = certificate_from_json(json.loads(gzip.decompress(BUNDLE.read_bytes()))["B3_p-1_q1_c4"])
+    arr = cached_arrangement("B", rank=3)
+    a = LogRational(X * Y, {FX: 2, FD: 1})
+    b = LogRational(X - Y, {FD: 2, FY: 1})
+    swap = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
+    calls = []
+    divide = Poly.divide_exact
+    monkeypatch.setattr(Poly, "divide_exact", lambda p, d: calls.append(d) or divide(p, d))
+    for x in (a + b, a - b, a * b, a * X, a.partial(0), b.partial(1), a.substitute_matrix(swap),
+              a.mul_form_power(FD, 2), b.mul_form_power(FX, -1)):
+        assert x.den
+    for w in arr.gens_W:
+        for theta in cert.basis:
+            group_action(w, theta)
+    assert not calls
 
 
 def test_sqrt3_squares_to_3():
@@ -112,7 +138,7 @@ def test_order_along_examples():
     assert (Y * (X - Y) ** 2).multiplicity_along(FD) == 2
     assert Y.multiplicity_along(FX) == 0
     # a reduced fraction keeps a pole only where its numerator has no factor
-    g = LogRational(Y * (X - Y), {FX: 1, FD: 2})
+    g = LogRational(Y * (X - Y), {FX: 1, FD: 2}).reduced()
     assert g.den == {FX: 1, FD: 1}
     assert g.num.multiplicity_along(FD) == 0 and g.num.multiplicity_along(FX) == 0
     with pytest.raises(ValueError):
@@ -292,13 +318,13 @@ def test_logrational_ring_axioms(a, b, c):
 @settings(max_examples=60, deadline=None)
 @given(polys(), denominators(), denominators())
 def test_unreduced_logrational_equals_reduced(num, den, extra):
-    # multiply top and bottom by the same form powers and skip the reduction
+    # multiply top and bottom by the same form powers
     common = {f: den.get(f, 0) + extra.get(f, 0) for f in set(den) | set(extra)}
-    unreduced = LogRational(num * form_product(2, extra), common, reduce=False)
-    reduced = LogRational(num, den)
+    unreduced = LogRational(num * form_product(2, extra), common)
+    reduced = LogRational(num, den).reduced()
     assert unreduced == reduced
     # reduction is canonical: the same value gives the same (num, den)
-    again = LogRational(unreduced.num, unreduced.den)
+    again = unreduced.reduced()
     assert (again.num, again.den) == (reduced.num, reduced.den)
     assert all(not reduced.num or reduced.num.divide_exact(f.to_poly()) is None
                for f in reduced.den)
@@ -312,6 +338,7 @@ def test_equal_values_reduce_alike(a, b):
         return
     quotient = logrational_ratio(a * b, b, PROPERTY_FORMS)
     assert quotient == a
+    a = a.reduced()
     assert (quotient.num, quotient.den) == (a.num, a.den)
 
 

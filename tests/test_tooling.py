@@ -1,7 +1,10 @@
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -30,3 +33,24 @@ def test_no_private_imports_between_modules():
                 offenders += [f"{path.name}: from .{node.module} import {alias.name}"
                               for alias in node.names if alias.name.startswith("_")]
     assert not offenders
+
+
+def test_package_imports_only_stdlib():
+    """coxmulti runs on the standard library alone: every absolute import
+    names a standard module, and the package declares no dependency."""
+    root = Path(__file__).resolve().parents[1]
+    offenders = []
+    for path in sorted((root / "src" / "coxmulti").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}: {name}" for name in names
+                          if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not offenders
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
