@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -23,8 +24,11 @@ Exponent = Tuple[int, ...]
 MINUS_INFINITY = None  # degree of the zero polynomial
 
 # shared power tables for repeated substitutions by the same matrix, least
-# recently used evicted first; keyed by hash(matrix) -> (matrix, table) so a
-# hit hashes the matrix (tuples of Fractions, slow to hash) only once
+# recently used evicted first; keyed by hash(key) -> (key, table) so a hit
+# hashes the matrix (tuples of Fractions, slow to hash) only once.  The key
+# holds each entry's field (or type) beside its value, because a rational
+# AlgebraicNumber equals and hashes like the same Fraction, and a table built
+# over one field must not serve a matrix over another.
 _SUBST_POWER_CACHE: "OrderedDict[int, Tuple[Tuple, Dict]]" = OrderedDict()
 _SUBST_CACHE_CAP = 65
 
@@ -35,6 +39,11 @@ def _add_exps(a: Exponent, b: Exponent) -> Exponent:
 
 def _grlex_key(e: Exponent):
     return (sum(e), e)
+
+
+def _heap_key(e: Exponent):
+    # ascending order of these keys is descending grlex order of e
+    return (-sum(e), tuple(-x for x in e), e)
 
 
 class Poly:
@@ -219,13 +228,15 @@ class Poly:
         Powers of the images of the variables are shared between calls with
         the same matrix through _SUBST_POWER_CACHE.
         """
-        key = tuple(tuple(row) for row in m)
+        rows = tuple(tuple(row) for row in m)
+        key = (rows, tuple(x.field if isinstance(x, AlgebraicNumber) else type(x)
+                           for row in rows for x in row))
         h = hash(key)
         entry = _SUBST_POWER_CACHE.get(h)
         if entry is not None and entry[0] == key:
             cache = entry[1]
         else:
-            if not scalar_determinant(key):
+            if not scalar_determinant(rows):
                 raise ValueError("singular substitution matrix")
             cache = {}
             _SUBST_POWER_CACHE[h] = (key, cache)
@@ -254,7 +265,15 @@ class Poly:
 
     # -- division -------------------------------------------------------
     def divide_exact(self, d: "Poly") -> Optional["Poly"]:
-        """Quotient self/d if the division is exact, else None."""
+        """Quotient self/d if the division is exact, else None.
+
+        Long division by the grlex-leading term of d.  The remainder's
+        exponents sit in a heap keyed by _heap_key, pushed when they enter
+        the remainder and skipped when popped after they have left it, so
+        finding the next leading term is logarithmic.  Each quotient
+        coefficient has the value and the type of rem[er] / cd, but cd is
+        inverted at most once.
+        """
         self._check(d)
         if not d.terms:
             raise ZeroDivisionError("polynomial division by zero")
@@ -262,21 +281,31 @@ class Poly:
             return Poly(self.nvars)
         ed = max(d.terms, key=_grlex_key)
         cd = d.terms[ed]
+        # the leading term's own subtraction cancels rem[er] exactly
+        rest = [(e2, c2) for e2, c2 in d.terms.items() if e2 != ed]
+        inv = None if isinstance(cd, Fraction) and cd == 1 else 1 / cd
         rem = dict(self.terms)
+        heap = [_heap_key(e) for e in rem]
+        heapify(heap)
         q: Dict[Exponent, Scalar] = {}
         while rem:
-            er = max(rem, key=_grlex_key)
+            er = heappop(heap)[2]
+            if er not in rem:
+                continue
             diff = tuple(a - b for a, b in zip(er, ed))
             if any(x < 0 for x in diff):
                 return None
-            c = rem[er] / cd
+            c = rem.pop(er)
+            if inv is not None:
+                c = c * inv
             q[diff] = c
-            for e2, c2 in d.terms.items():
+            for e2, c2 in rest:
                 e = _add_exps(diff, e2)
                 s = rem.get(e)
                 v = c * c2
                 if s is None:
                     rem[e] = -v
+                    heappush(heap, _heap_key(e))
                 else:
                     s = s - v
                     if s:
@@ -369,8 +398,8 @@ class LinearForm:
                 ints = [-v for v in ints]
             cs = [Fraction(v) for v in ints]
         else:
-            first = next(c for c in cs if c)
-            cs = [c / first for c in cs]
+            inv = 1 / next(c for c in cs if c)
+            cs = [c * inv for c in cs]
         self.coeffs = tuple(cs)
         self._hash = hash(self.coeffs)
 

@@ -13,7 +13,7 @@ from coxmulti.coxeter import cached_arrangement
 from coxmulti.derivations import group_action
 from coxmulti.linalg import logrational_ratio
 from coxmulti.poly import LinearForm, LogRational, Poly, form_product
-from coxmulti.scalars import cosine_field
+from coxmulti.scalars import AlgebraicNumber, as_fraction, cosine_field, scalar_is_rational
 
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
@@ -132,6 +132,29 @@ def test_substitution_cache_keeps_matrix_in_use(monkeypatch):
     assert len(poly._SUBST_POWER_CACHE) <= 65
 
 
+def test_substitution_cache_separates_fields(monkeypatch):
+    from coxmulti import poly
+
+    # a rational AlgebraicNumber equals and hashes like the same Fraction, so
+    # equal-valued matrices over Q and over Q(g) must still get their own tables
+    g6, g8 = cosine_field(6)[1], cosine_field(8)[1]
+    one6, zero6 = g6.field.one(), g6.field.zero()
+    swap = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
+    swap6 = ((zero6, one6), (one6, zero6))
+    monkeypatch.setattr(poly, "_SUBST_POWER_CACHE", poly.OrderedDict())
+    (X * Y).substitute_matrix(swap6)
+    assert (g8 * X * Y + Y ** 2).substitute_matrix(swap) == g8 * X * Y + X ** 2
+
+    p = X ** 2 + 3 * X * Y
+    monkeypatch.setattr(poly, "_SUBST_POWER_CACHE", poly.OrderedDict())
+    fresh = p.substitute_matrix(swap6)
+    monkeypatch.setattr(poly, "_SUBST_POWER_CACHE", poly.OrderedDict())
+    p.substitute_matrix(swap)  # tables the rational swap first
+    cached = p.substitute_matrix(swap6)
+    assert [(e, c, type(c)) for e, c in cached.terms.items()] == \
+        [(e, c, type(c)) for e, c in fresh.terms.items()]
+
+
 def test_order_along_examples():
     assert (X * X * (X + Y)).multiplicity_along(FX) == 2
     assert (X * X * (X + Y)).multiplicity_along(FS) == 1
@@ -208,6 +231,18 @@ def test_linearform_field_normalization():
     assert a == b  # sqrt3 * (1, sqrt3) = (sqrt3, 3)
 
 
+def test_linearform_field_normalization_inverts_once(monkeypatch):
+    g = cosine_field(8)[1]
+    raw = [Fraction(0), g, Fraction(3), g * g - 1]
+    expected = [c / g for c in raw]
+    calls = []
+    inverse = AlgebraicNumber.inverse
+    monkeypatch.setattr(AlgebraicNumber, "inverse", lambda a: calls.append(a) or inverse(a))
+    form = LinearForm(raw)
+    assert len(calls) == 1
+    assert [(c, type(c)) for c in form.coeffs] == [(c, type(c)) for c in expected]
+
+
 def test_logrational_degree_and_homogeneity():
     f = LogRational(X * X * Y, {FX: 1})
     assert f.degree() == 2
@@ -252,6 +287,81 @@ def test_strip_form_contract(case, j, limit):
     assert limit is None or k <= limit
     if limit is None or k < limit:
         assert q.divide_exact(fp) is None
+
+
+def reference_divide(p, d):
+    """The plain long division: rescan the remainder for its grlex-leading
+    term and divide by d's leading coefficient on every step."""
+    grlex = lambda e: (sum(e), e)
+    ed = max(d.terms, key=grlex)
+    cd = d.terms[ed]
+    rem, q = dict(p.terms), {}
+    while rem:
+        er = max(rem, key=grlex)
+        diff = tuple(a - b for a, b in zip(er, ed))
+        if any(x < 0 for x in diff):
+            return None
+        c = rem[er] / cd
+        q[diff] = c
+        for e2, c2 in d.terms.items():
+            e = tuple(a + b for a, b in zip(diff, e2))
+            s = rem.get(e)
+            v = c * c2
+            if s is None:
+                rem[e] = -v
+            else:
+                s = s - v
+                if s:
+                    rem[e] = s
+                else:
+                    del rem[e]
+    return q
+
+
+G8 = cosine_field(8)[1]
+I2_8_FORM = LinearForm([G8, 1])  # leading coefficient the field's 1
+
+
+@st.composite
+def division_cases(draw):
+    """(p, d): d a form over Q, Q(sqrt 3) or Q(2 cos pi/8), or a non-linear
+    polynomial over that field as Bareiss divides by; p = d * q, sometimes
+    plus a perturbation so the division fails."""
+    gen, form = draw(st.sampled_from([
+        (None, st.lists(st.integers(-2, 2), min_size=2, max_size=2).filter(any).map(LinearForm)),
+        (SQRT3, st.just(G2_FORM)),
+        (G8, st.just(I2_8_FORM))]))
+    coeff = rationals if gen is None else st.one_of(
+        rationals, st.builds(lambda a, b: a + b * gen, rationals, rationals))
+    monomial = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+    def poly(min_size, max_size):
+        return Poly(2, draw(st.dictionaries(monomial, coeff.filter(bool),
+                                            min_size=min_size, max_size=max_size)))
+
+    d = poly(1, 3) if draw(st.booleans()) else draw(form).to_poly()
+    p = d * poly(0, 5)
+    if draw(st.booleans()):
+        p = p + poly(1, 2)
+    if gen is not None:  # store some rational values as field elements and vice versa
+        retyped = lambda c: gen.field.element((as_fraction(c),)) if draw(st.booleans()) \
+            else as_fraction(c)
+        p = Poly(2, {e: retyped(c) if scalar_is_rational(c) or len(c.coeffs) == 1 else c
+                     for e, c in p.terms.items()})
+    return p, d
+
+
+@settings(max_examples=120, deadline=None)
+@given(division_cases())
+def test_divide_exact_matches_reference(case):
+    # same quotient terms, in the same order, with the same coefficient types
+    p, d = case
+    q, ref = p.divide_exact(d), reference_divide(p, d)
+    assert (q is None) == (ref is None)
+    if q is not None:
+        assert q * d == p
+        assert [(e, c, type(c)) for e, c in q.terms.items()] == \
+            [(e, c, type(c)) for e, c in ref.items()]
 
 
 def test_render_deterministic():
