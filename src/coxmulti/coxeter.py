@@ -159,8 +159,12 @@ class ArrangementData:
         return sign
 
 
+def _identity(n: int) -> MatrixS:
+    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
+
+
 def _closure(gens: List[MatrixS], n: int, cap: int) -> List[MatrixS]:
-    ident = tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
+    ident = _identity(n)
     seen = {ident: True}
     order = [ident]
     frontier = [ident]
@@ -482,20 +486,32 @@ def reynolds(f: Poly, arr: ArrangementData, group: str = "W") -> Poly:
     """Group average of f; always invariant, a projection onto invariants.
 
     f o w depends only on the rows of w for the variables occurring in f
-    (x_i -> row i of w), so the elements are grouped by those rows and f is
-    substituted once per distinct tuple, weighted by the number of elements
-    sharing it: 24 substitutions instead of 1152 for an F4 seed x1^k.
+    (x_i -> row i of w), and those rows of w g are the rows of w times g.
+    So the average runs over the orbit of the identity's rows under right
+    multiplication by the generators, found breadth first with one full
+    matrix kept per orbit point.  The elements sharing a point form a coset
+    of its stabilizer, so each point stands for |W| / |orbit| of them and
+    the orbit average equals the group average exactly: 24 substitutions
+    and 96 matrix products for an F4 seed x1^k, and no enumeration of W.
     """
-    elements = arr.group_elements(group)
     used = [i for i in range(f.nvars) if any(e[i] for e in f.terms)]
-    images: Dict[Tuple, List] = {}  # rows of the used variables -> [element, count]
-    for w in elements:
-        entry = images.setdefault(tuple(w[i] for i in used), [w, 0])
-        entry[1] += 1
+    ident = _identity(f.nvars)
+    seen = {tuple(ident[i] for i in used): ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in arr.generators(group):
+                wg = scalar_matmul(w, g)
+                point = tuple(wg[i] for i in used)
+                if point not in seen:
+                    seen[point] = wg
+                    nxt.append(wg)
+        frontier = nxt
     acc = Poly.zero(f.nvars)
-    for w, count in images.values():
-        acc = acc + f.substitute_matrix(w) * count
-    return acc * Fraction(1, len(elements))
+    for w in seen.values():
+        acc = acc + f.substitute_matrix(w)
+    return acc * Fraction(1, len(seen))
 
 
 # ---------------------------------------------------------------------------

@@ -225,8 +225,11 @@ class Poly:
     def substitute_matrix(self, m: Sequence[Sequence[Scalar]]) -> "Poly":
         """Compose with the linear change of variables x -> M x; M invertible.
 
-        Powers of the images of the variables are shared between calls with
-        the same matrix through _SUBST_POWER_CACHE.
+        Horner's rule, variable by variable: the terms are grouped by their
+        exponent of x_i, highest first, and the accumulator is multiplied by
+        the image l_i raised to the gap between consecutive exponents.
+        Powers of the images are shared between calls with the same matrix
+        through _SUBST_POWER_CACHE.
         """
         rows = tuple(tuple(row) for row in m)
         key = (rows, tuple(x.field if isinstance(x, AlgebraicNumber) else type(x)
@@ -254,14 +257,22 @@ class Poly:
                 cache[(i, k)] = p
             return p
 
-        acc = Poly(self.nvars)
-        for e, c in sorted(self.terms.items(), key=lambda t: _grlex_key(t[0])):
-            mono = Poly.const(self.nvars, c)
-            for i, k in enumerate(e):
-                if k:
-                    mono = mono * power(i, k)
-            acc = acc + mono
-        return acc
+        def horner(terms, i: int) -> Poly:
+            if i == self.nvars:  # the exponent is used up: one term is left
+                return Poly.const(self.nvars, terms[0][1])
+            groups: Dict[int, list] = {}
+            for t in terms:
+                groups.setdefault(t[0][i], []).append(t)
+            acc, last = None, 0
+            for k in sorted(groups, reverse=True):
+                inner = horner(groups[k], i + 1)
+                acc = inner if acc is None else acc * power(i, last - k) + inner
+                last = k
+            return acc * power(i, last) if last else acc
+
+        if not self.terms:
+            return Poly(self.nvars)
+        return horner(list(self.terms.items()), 0)
 
     # -- division -------------------------------------------------------
     def divide_exact(self, d: "Poly") -> Optional["Poly"]:

@@ -250,6 +250,8 @@ class AlgebraicNumber:
     def inverse(self) -> "AlgebraicNumber":
         if not self.coeffs:
             raise ZeroDivisionError("algebraic number inverse of zero")
+        if len(self.coeffs) == 1:  # a rational element: what Euclid returns
+            return AlgebraicNumber(self.field, (1 / self.coeffs[0],))
         # extended Euclid: s*self + t*minpoly = 1
         a, b = self.coeffs, self.field.minpoly
         s0, s1 = (Fraction(1),), ()

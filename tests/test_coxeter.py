@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from coxmulti import coxeter, engine
 from coxmulti.coxeter import (F4_ALTERNATE_SEEDS, F4_DEFAULT_SEEDS, F4_ORBIT_SWITCH,
                               Multiplicity, basic_invariants, build_arrangement,
                               cached_arrangement, f4_w1_invariants, reflection_matrix,
@@ -131,8 +132,8 @@ def test_reynolds_is_projection(b2):
         assert reynolds(once, b2, "W") == once
 
 
-def _average_over_every_element(f, arr):
-    elements = arr.group_elements("W")
+def _average_over_every_element(f, arr, group):
+    elements = arr.group_elements(group)
     acc = Poly.zero(f.nvars)
     for w in elements:
         acc = acc + f.substitute_matrix(w)
@@ -141,9 +142,24 @@ def _average_over_every_element(f, arr):
 
 @pytest.mark.parametrize("exps", [(2,), (6,), (4, 2)])
 def test_reynolds_matches_average_over_every_element(b3, g2, f4, exps):
-    for arr in (b3, g2, f4):
+    # W1 and W2 are generated by all their reflections, not simple ones
+    for arr, group in ((b3, "W"), (g2, "W"), (f4, "W"), (b3, "W1"), (b3, "W2"),
+                       (g2, "W1"), (g2, "W2")):
         f = Poly.monomial(arr.rank, list(exps) + [0] * (arr.rank - len(exps)))
-        assert reynolds(f, arr, "W") == _average_over_every_element(f, arr)
+        assert reynolds(f, arr, group) == _average_over_every_element(f, arr, group)
+
+
+def test_f4_context_enumerates_no_group(monkeypatch):
+    # the orbit average needs no element list of W; only the CLI's
+    # group_order and the tests enumerate a group
+    calls = []
+    closure = coxeter._closure
+    monkeypatch.setattr(coxeter, "_closure", lambda *a: calls.append(a) or closure(*a))
+    monkeypatch.setattr(coxeter, "_ARRANGEMENT_CACHE", {})
+    monkeypatch.setattr(engine, "_CONTEXT_CACHE", {})
+    ctx = engine.make_context("F4")
+    assert ctx.sys_w.degrees == [2, 6, 8, 12]
+    assert not calls
 
 
 def test_f4_reynolds_substitutes_once_per_short_root(f4, monkeypatch):

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from coxmulti.certificates import certificate_from_json
 from coxmulti.coxeter import cached_arrangement
 from coxmulti.derivations import group_action
-from coxmulti.linalg import logrational_ratio
+from coxmulti.linalg import logrational_ratio, scalar_inverse
 from coxmulti.poly import LinearForm, LogRational, Poly, form_product
 from coxmulti.scalars import AlgebraicNumber, as_fraction, cosine_field, scalar_is_rational
+from coxmulti.verify import _adapted_matrix
 
 X = Poly.variable(2, 0)
 Y = Poly.variable(2, 1)
@@ -362,6 +363,65 @@ def test_divide_exact_matches_reference(case):
         assert q * d == p
         assert [(e, c, type(c)) for e, c in q.terms.items()] == \
             [(e, c, type(c)) for e, c in ref.items()]
+
+
+def reference_substitute(p, m):
+    """The power-product expansion: each term, in ascending grlex order, is
+    its coefficient times powers of the images, then added to the sum."""
+    images = [Poly.from_linear(row) for row in m]
+    acc = Poly(p.nvars)
+    for e, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0])):
+        mono = Poly.const(p.nvars, c)
+        for i, k in enumerate(e):
+            if k:
+                mono = mono * images[i] ** k
+        acc = acc + mono
+    return acc
+
+
+SUBSTITUTION_ARRANGEMENTS = [("B", 3, None), ("F4", None, None), ("G2", None, None),
+                             ("I2", None, 4)]
+
+
+@st.composite
+def substitution_cases(draw):
+    """(p, m) as the package pairs them.  m is a group element of B3, F4, G2
+    or I2(8) or its inverse, on a polynomial over the arrangement's field;
+    or an adapted matrix of one of its non-coordinate forms, on one term, as
+    divisibility_rows substitutes.  Over Q(g) the coefficients mix Fraction
+    and AlgebraicNumber, rational values stored either way.  Such a matrix
+    has all its nonzero entries in Q(g), or one nonzero entry in every row,
+    or (adapted) one row that is not a unit vector; that is what makes each
+    coefficient's type independent of the order of the sums."""
+    family, rank, n = draw(st.sampled_from(SUBSTITUTION_ARRANGEMENTS))
+    arr = cached_arrangement(family, rank=rank, n=n)
+    if draw(st.booleans()):
+        m = draw(st.sampled_from(arr.group_elements("W")))
+        if draw(st.booleans()):
+            m = scalar_inverse(m)
+        size = (0, 5)
+    else:
+        forms = [f for f in arr.forms() if not f.is_coordinate()]
+        m = _adapted_matrix(draw(st.sampled_from(forms)))
+        size = (1, 1)
+    gen = arr.gamma
+    coeff = rationals if gen is None else st.one_of(
+        rationals, rationals.map(lambda a: gen.field.element((a,))),
+        st.builds(lambda a, b: a + b * gen, rationals, rationals))
+    monomial = st.tuples(*[st.integers(0, 4 if arr.rank == 2 else 2)] * arr.rank)
+    terms = draw(st.dictionaries(monomial, coeff.filter(bool), min_size=size[0],
+                                 max_size=size[1]))
+    return Poly(arr.rank, terms), m
+
+
+@settings(max_examples=100, deadline=None)
+@given(substitution_cases())
+def test_substitute_matrix_matches_reference(case):
+    # same terms with the same coefficient types; dict order may differ
+    p, m = case
+    out, ref = p.substitute_matrix(m), reference_substitute(p, m)
+    typed = lambda q: sorted(((e, c, type(c)) for e, c in q.terms.items()), key=lambda t: t[0])
+    assert typed(out) == typed(ref)
 
 
 def test_render_deterministic():

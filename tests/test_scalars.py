@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxmulti.scalars import NumberField, cosine_field, half_angle_cosines, scalar_determinant
+from coxmulti import scalars
+from coxmulti.scalars import (AlgebraicNumber, NumberField, cosine_field, half_angle_cosines,
+                              scalar_determinant)
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +51,37 @@ def test_division_and_inverse(sqrt3):
     assert (3 / g) == g  # 3/sqrt3 = sqrt3
     with pytest.raises(ZeroDivisionError):
         field.zero().inverse()
+
+
+def euclid_inverse(a):
+    """The extended Euclid that inverts any nonzero element, as reference."""
+    from coxmulti.scalars import _poly_add, _poly_divmod, _poly_mul, _poly_scale, _trim
+
+    r0, r1 = a.coeffs, a.field.minpoly
+    s0, s1 = (Fraction(1),), ()
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_add(s0, _poly_scale(_poly_mul(q, s1), -1))
+    _, inv = _poly_divmod(_poly_scale(s0, 1 / r0[0]), a.field.minpoly)
+    return _trim(inv)
+
+
+@pytest.mark.parametrize("n_lines", [6, 8])  # Q(sqrt 3) and Q(2 cos pi/8)
+def test_inverse_of_rational_element_skips_euclid(n_lines, monkeypatch):
+    field = cosine_field(n_lines)[0]
+    rational = [field.element((c,)) for c in (Fraction(1), Fraction(-3), Fraction(2, 7))]
+    expected = [euclid_inverse(a) for a in rational]
+    calls = []
+    divmod_ = scalars._poly_divmod
+    monkeypatch.setattr(scalars, "_poly_divmod", lambda a, b: calls.append(a) or divmod_(a, b))
+    for a, coeffs in zip(rational, expected):
+        inv = a.inverse()
+        assert isinstance(inv, AlgebraicNumber) and inv.field is field
+        assert [(c, type(c)) for c in inv.coeffs] == [(c, type(c)) for c in coeffs]
+    assert not calls
+    g = field.generator()
+    assert g.inverse().coeffs == euclid_inverse(g) and calls  # the general path still runs
 
 
 def test_pow(sqrt3):
