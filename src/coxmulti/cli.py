@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from math import prod
 from typing import Dict, List, Optional
 
 from .certificates import certificate_from_json, certificate_to_json, encode_scalar
@@ -54,7 +55,8 @@ def cmd_info(args) -> int:
         "h": sys_w.coxeter_number,
         "h1": sys_w1.coxeter_number,
         "h2": sys_w2.coxeter_number,
-        "group_order": len(arr.group_elements("W")),
+        # |W| is the product of the degrees of its basic invariants
+        "group_order": prod(sys_w.degrees),
     }
     if args.format == "json":
         print(json.dumps(info, sort_keys=True, indent=1))

@@ -1,7 +1,8 @@
 """Exact scalar arithmetic: rationals and real algebraic extensions Q(g).
 
 Field elements are represented as univariate polynomials in the generator g,
-reduced modulo a fixed monic minimal polynomial.  The generator is pinned to
+reduced modulo a fixed monic integer minimal polynomial, and stored as integer
+numerators over one positive common denominator.  The generator is pinned to
 one real root by an isolating interval with rational endpoints; signs of
 nonzero elements are decided by refining that interval.  All operations are
 exact; no floating point enters any computation.
@@ -10,7 +11,8 @@ exact; no floating point enters any computation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import List, Sequence, Tuple, Union
 
 Scalar = Union[Fraction, "AlgebraicNumber"]
@@ -89,10 +91,12 @@ def _interval_eval(coeffs, lo: Fraction, hi: Fraction):
 class NumberField:
     """Real number field Q(g), g a fixed real root of an irreducible polynomial.
 
-    The minimal polynomial must be monic, squarefree and irreducible over Q;
-    squarefreeness is checked exactly, irreducibility is the caller's
-    responsibility (the built-in constructors only produce irreducible moduli)
-    and is partially checked by rejecting rational roots.
+    The minimal polynomial must be squarefree and irreducible over Q, and
+    monic with integer coefficients once divided by its leading coefficient
+    (g is an algebraic integer); squarefreeness is checked exactly,
+    irreducibility is the caller's responsibility (the built-in constructors
+    only produce irreducible moduli) and is partially checked by rejecting
+    rational roots.
     """
 
     def __init__(self, minpoly: Sequence[Fraction], lo: Fraction, hi: Fraction, name: str = "g"):
@@ -101,6 +105,8 @@ class NumberField:
             raise ValueError("minimal polynomial must have degree >= 2")
         if mp[-1] != 1:
             mp = tuple(c / mp[-1] for c in mp)
+        if any(c.denominator != 1 for c in mp):
+            raise ValueError("generator is not an algebraic integer")
         deriv = _trim([mp[i] * i for i in range(1, len(mp))])
         if len(_poly_gcd(mp, deriv)) > 1:
             raise ValueError("minimal polynomial is not squarefree")
@@ -113,10 +119,21 @@ class NumberField:
             if _poly_eval(mp, num) == 0:
                 raise ValueError("minimal polynomial has a rational root")
         self.minpoly = mp
-        self.degree = len(mp) - 1
+        self.degree = d = len(mp) - 1
         self.name = name
         self._lo = lo
         self._hi = hi
+        self._mp = [int(c) for c in mp[:d]]  # g^d = -sum(_mp[i] g^i)
+        # _fold[k - d] lists the nonzero (i, c_i) of g^k = sum(c_i g^i), for
+        # the powers d <= k <= 2d - 2 that a product of reduced elements reaches
+        power = [-c for c in self._mp]
+        self._fold = []
+        for _ in range(d - 1):
+            self._fold.append([(i, c) for i, c in enumerate(power) if c])
+            top = power[-1]
+            power = [0] + power[:-1]
+            if top:
+                power = [x - top * m for x, m in zip(power, self._mp)]
 
     def __repr__(self):
         return f"NumberField({self.name}, deg {self.degree})"
@@ -139,8 +156,12 @@ class NumberField:
                 self._refine()
         return self._lo, self._hi
 
-    def sign_of(self, coeffs: Tuple[Fraction, ...]) -> int:
-        """Sign of the element with the given reduced representative."""
+    def sign_of(self, coeffs: Sequence[Union[int, Fraction]]) -> int:
+        """Sign of the element with the given reduced representative.
+
+        A positive multiple of the representative, such as its integer
+        numerators, has the same sign and needs the same refinements.
+        """
         if not coeffs:
             return 0
         if len(coeffs) == 1:
@@ -155,34 +176,33 @@ class NumberField:
         raise ArithmeticError("sign determination did not converge")
 
     def element(self, coeffs) -> "AlgebraicNumber":
-        cs = _trim([Fraction(c) for c in coeffs])
-        if len(cs) >= len(self.minpoly):
-            _, cs = _poly_divmod(cs, self.minpoly)
-        return AlgebraicNumber(self, cs)
+        fs = [Fraction(c) for c in coeffs]
+        den = lcm(*[f.denominator for f in fs])
+        num = [f.numerator * (den // f.denominator) for f in fs]
+        d, mp = self.degree, self._mp
+        for k in range(len(num) - 1, d - 1, -1):  # fold g^k = -sum(mp[i] g^(k-d+i))
+            c = num.pop()
+            if c:
+                for i, m in enumerate(mp, k - d):
+                    num[i] -= c * m
+        return _canonical(self, num, den)
 
     def generator(self) -> "AlgebraicNumber":
         return self.element((0, 1))
 
     def zero(self) -> "AlgebraicNumber":
-        return AlgebraicNumber(self, ())
+        return AlgebraicNumber(self, (), 1)
 
     def one(self) -> "AlgebraicNumber":
-        return AlgebraicNumber(self, (Fraction(1),))
+        return AlgebraicNumber(self, (1,), 1)
 
 
-def _rational_root_candidates(mp) -> List[Fraction]:
-    # monic over Q: clear denominators, then p/q with p | a0, q | lead
-    den = lcm(*[c.denominator for c in mp]) if len(mp) > 1 else 1
-    ints = [int(c * den) for c in mp]
-    a0, an = ints[0], ints[-1]
+def _rational_root_candidates(mp) -> List[int]:
+    # a rational root of a monic integer polynomial is an integer dividing a0
+    a0 = int(mp[0])
     if a0 == 0:
-        return [Fraction(0)]
-    cands = set()
-    for p in _divisors(abs(a0)):
-        for q in _divisors(abs(an)):
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
-    return sorted(cands)
+        return [0]
+    return [s * p for p in _divisors(abs(a0)) for s in (1, -1)]
 
 
 def _divisors(n: int) -> List[int]:
@@ -196,62 +216,132 @@ def _divisors(n: int) -> List[int]:
     return sorted(set(out))
 
 
+def _canonical(field: NumberField, num: List[int], den: int) -> "AlgebraicNumber":
+    """The element num / den, after trimming num and cancelling gcd(num, den)."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return AlgebraicNumber(field, (), 1)
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    return AlgebraicNumber(field, tuple(num), den)
+
+
 class AlgebraicNumber:
-    """Element of a NumberField; immutable, hashable, exact."""
+    """Element of a NumberField; immutable, hashable, exact.
 
-    __slots__ = ("field", "coeffs")
+    The value is sum(num[i] g^i) / den with integer numerators num (no
+    trailing zero, fewer than the field's degree) and a positive integer den
+    sharing no factor with all of num: one representation per value.
+    """
 
-    def __init__(self, field: NumberField, coeffs: Tuple[Fraction, ...]):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num: Tuple[int, ...], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The reduced representative's coefficients, ascending in g."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     # -- coercion -------------------------------------------------------
-    def _lift(self, other):
+    def _parts(self, other):
+        """(numerators, denominator) of a field element, int or Fraction."""
         if isinstance(other, AlgebraicNumber):
             if other.field is not self.field:
                 raise ValueError("mixed number fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.element((Fraction(other),))
-        return NotImplemented
+            return other.num, other.den
+        if isinstance(other, int):
+            return ((other,) if other else ()), 1
+        if isinstance(other, Fraction):
+            return ((other.numerator,) if other else ()), other.denominator
+        return None
+
+    def _plus(self, on, od, sign):
+        """self + sign * (on / od)."""
+        if not on:
+            return self
+        sn, sd = self.num, self.den
+        if not sn:
+            return AlgebraicNumber(self.field, on if sign > 0 else tuple([-x for x in on]), od)
+        if sd == od:
+            den = sd
+        else:
+            g = gcd(sd, od)
+            sn = [x * (od // g) for x in sn]
+            on = [x * (sd // g) for x in on]
+            den = sd * (od // g)
+        if sign > 0:
+            num = [a + b for a, b in zip_longest(sn, on, fillvalue=0)]
+        else:
+            num = [a - b for a, b in zip_longest(sn, on, fillvalue=0)]
+        return _canonical(self.field, num, den)
+
+    def _scaled(self, n: int, d: int):
+        """self * n / d for coprime integers n, d with d > 0."""
+        if not n:
+            return AlgebraicNumber(self.field, (), 1)
+        return _canonical(self.field, [x * n for x in self.num], self.den * d)
 
     # -- ring operations ------------------------------------------------
     def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        return AlgebraicNumber(self.field, _poly_add(self.coeffs, o.coeffs))
+        return self._plus(o[0], o[1], 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraicNumber(self.field, _poly_scale(self.coeffs, -1))
+        return AlgebraicNumber(self.field, tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(o[0], o[1], -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        prod = _poly_mul(self.coeffs, o.coeffs)
-        if len(prod) >= len(self.field.minpoly):
-            _, prod = _poly_divmod(prod, self.field.minpoly)
-        return AlgebraicNumber(self.field, prod)
+        a, (b, bd) = self.num, o
+        if len(b) <= 1:
+            return self._scaled(b[0] if b else 0, bd)
+        if len(a) <= 1:
+            return AlgebraicNumber(self.field, b, bd)._scaled(a[0] if a else 0, self.den)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        field = self.field
+        d = field.degree
+        if len(out) > d:
+            for c, fold in zip(out[d:], field._fold):
+                if c:
+                    for i, t in fold:
+                        out[i] += c * t
+            del out[d:]
+        return _canonical(field, out, self.den * bd)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgebraicNumber":
-        if not self.coeffs:
+        if not self.num:
             raise ZeroDivisionError("algebraic number inverse of zero")
-        if len(self.coeffs) == 1:  # a rational element: what Euclid returns
-            return AlgebraicNumber(self.field, (1 / self.coeffs[0],))
+        if len(self.num) == 1:  # a rational element: what Euclid returns
+            n = self.num[0]
+            return AlgebraicNumber(self.field, (self.den if n > 0 else -self.den,), abs(n))
         # extended Euclid: s*self + t*minpoly = 1
         a, b = self.coeffs, self.field.minpoly
         s0, s1 = (Fraction(1),), ()
@@ -261,15 +351,13 @@ class AlgebraicNumber:
             s0, s1 = s1, _poly_add(s0, _poly_scale(_poly_mul(q, s1), -1))
         if len(a) != 1:
             raise ArithmeticError("zero divisor: minimal polynomial not irreducible")
-        inv = _poly_scale(s0, 1 / a[0])
-        _, inv = _poly_divmod(inv, self.field.minpoly)
-        return AlgebraicNumber(self.field, _trim(inv))
+        return self.field.element(_poly_scale(s0, 1 / a[0]))
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
+        o = self._parts(other)
+        if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return self * AlgebraicNumber(self.field, *o).inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -288,47 +376,36 @@ class AlgebraicNumber:
 
     # -- predicates -----------------------------------------------------
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other):
         # elements of distinct fields are never identified (so they can share
         # hash buckets, e.g. in substitution caches, without raising)
         if isinstance(other, AlgebraicNumber):
-            return self.field is other.field and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            if len(self.coeffs) > 1:
-                return False
-            return (self.coeffs[0] if self.coeffs else QQ_ZERO) == other
+            return self.field is other.field and self.num == other.num and self.den == other.den
+        if isinstance(other, int):
+            return self.den == 1 and self.num == ((other,) if other else ())
+        if isinstance(other, Fraction):
+            return (self.den == other.denominator
+                    and self.num == ((other.numerator,) if other else ()))
         return NotImplemented
 
     def __hash__(self):
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else QQ_ZERO)
-        return hash(("algnum", id(self.field), self.coeffs))
+        if len(self.num) <= 1:  # equal to the Fraction, so hash like it
+            return hash(Fraction(self.num[0], self.den) if self.num else QQ_ZERO)
+        return hash(("algnum", id(self.field), self.num, self.den))
 
     def sign(self) -> int:
-        return self.field.sign_of(self.coeffs)
+        return self.field.sign_of(self.num)
 
     def __lt__(self, other):
-        o = self._lift(other)
-        return (self - o).sign() < 0
+        return (self - other).sign() < 0
 
     def __gt__(self, other):
-        o = self._lift(other)
-        return (self - o).sign() > 0
-
-    def approx(self, width=Fraction(1, 10**30)) -> Fraction:
-        """Rational approximation within the given width (pure bisection)."""
-        for _ in range(10000):
-            lo, hi = self.field.interval()
-            mn, mx = _interval_eval(self.coeffs, lo, hi)
-            if mx - mn < width:
-                return (mn + mx) / 2
-            self.field._refine()
-        raise ArithmeticError("approximation did not converge")
+        return (self - other).sign() > 0
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.num:
             return "0"
         g = self.field.name
         parts = []
@@ -350,9 +427,9 @@ def scalar_is_rational(x: Scalar) -> bool:
 
 def as_fraction(x: Scalar) -> Fraction:
     if isinstance(x, AlgebraicNumber):
-        if len(x.coeffs) > 1:
+        if len(x.num) > 1:
             raise ValueError("not a rational scalar")
-        return x.coeffs[0] if x.coeffs else Fraction(0)
+        return Fraction(x.num[0], x.den) if x.num else Fraction(0)
     return Fraction(x)
 
 

@@ -42,6 +42,17 @@ def test_info_g2_json(capsys):
     assert blob["h1"] == blob["h2"] == 3
 
 
+@pytest.mark.parametrize("argv, order", [
+    (("--family", "B", "--rank", "3"), 48), (("--family", "B", "--rank", "6"), 46080),
+    (("--family", "F4"), 1152), (("--family", "G2"), 12), (("--family", "I2", "--n", "10"), 40),
+])
+def test_info_group_order(capsys, argv, order):
+    # |W| comes from the degrees; B6 would exceed the enumeration cap
+    code, out, _ = run(capsys, "info", *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["group_order"] == order
+
+
 def test_info_bad_family(capsys):
     code, _, err = run(capsys, "info", "--family", "H3")
     assert code == 2

@@ -128,6 +128,17 @@ def test_cross_field_elements_never_equal(sqrt3):
         g_a + g_b  # arithmetic across fields stays an error
 
 
+def approx(a, width=Fraction(1, 10**30)) -> Fraction:
+    """Rational approximation of a field element within the given width."""
+    for _ in range(10000):
+        lo, hi = a.field.interval()
+        mn, mx = scalars._interval_eval(a.coeffs, lo, hi)
+        if mx - mn < width:
+            return (mn + mx) / 2
+        a.field._refine()
+    raise ArithmeticError("approximation did not converge")
+
+
 def test_float_agreement_sanity(sqrt3):
     # exact arithmetic against a high-precision rational evaluation of g
     field, g = sqrt3
@@ -137,8 +148,8 @@ def test_float_agreement_sanity(sqrt3):
         a = field.element([Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))])
         b = field.element([Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))])
         width = Fraction(1, 10 ** 30)
-        lhs = (a * b).approx(width)
-        rhs = a.approx(width) * b.approx(width)
+        lhs = approx(a * b, width)
+        rhs = approx(a, width) * approx(b, width)
         assert abs(lhs - rhs) < eps
 
 
@@ -199,3 +210,59 @@ def test_scalar_determinant_is_multiplicative_over_the_field(a, b):
     ab = [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
     assert scalar_determinant(ab) == scalar_determinant(a) * scalar_determinant(b)
     assert scalar_determinant(a) == a[0][0] * a[1][1] - a[0][1] * a[1][0]
+
+
+# -- integer coordinates against the Fraction-tuple arithmetic -----------------
+
+FIELDS = {n: cosine_field(n)[0] for n in (6, 7, 8)}  # degrees 2, 3 and 4
+
+
+def reference_reduce(coeffs, field):
+    """Fraction coefficients reduced modulo the minimal polynomial, trimmed."""
+    cs = scalars._trim([Fraction(c) for c in coeffs])
+    if len(cs) >= len(field.minpoly):
+        _, cs = scalars._poly_divmod(cs, field.minpoly)
+    return cs
+
+
+@st.composite
+def field_operands(draw):
+    """A field, raw coefficients of one element, and an element, int or Fraction."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    small = st.fractions(min_value=-7, max_value=7, max_denominator=6)
+    raw = st.lists(small, max_size=2 * field.degree)  # longer lists reduce on entry
+    other = draw(st.one_of(raw.map(field.element), st.integers(-5, 5), small))
+    return field, draw(raw), other
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_operands())
+def test_integer_coordinates_match_fraction_tuples(case):
+    field, raw, b = case
+    a = field.element(raw)
+    ra = reference_reduce(raw, field)
+    rb = b.coeffs if isinstance(b, AlgebraicNumber) else reference_reduce((b,), field)
+    add, mul = scalars._poly_add, lambda x, y: reference_reduce(scalars._poly_mul(x, y), field)
+    neg = lambda x: scalars._poly_scale(x, -1)
+    expected = {"a": ra, "a+b": add(ra, rb), "b+a": add(ra, rb), "a-b": add(ra, neg(rb)),
+                "b-a": add(rb, neg(ra)), "a*b": mul(ra, rb), "b*a": mul(ra, rb), "-a": neg(ra),
+                "a**3": mul(ra, mul(ra, ra))}
+    got = {"a": a, "a+b": a + b, "b+a": b + a, "a-b": a - b, "b-a": b - a,
+           "a*b": a * b, "b*a": b * a, "-a": -a, "a**3": a ** 3}
+    if rb:
+        expected["a/b"] = mul(ra, euclid_inverse(field.element(rb)))
+        got["a/b"] = a / b
+    if ra:
+        expected["1/a"] = euclid_inverse(a)
+        expected["b/a"] = mul(rb, expected["1/a"])
+        got["1/a"], got["b/a"] = a.inverse(), b / a
+    for op, value in got.items():
+        assert isinstance(value, AlgebraicNumber) and value.field is field, op
+        assert [(c, type(c)) for c in value.coeffs] == [(c, Fraction) for c in expected[op]], op
+        if len(expected[op]) <= 1:  # a rational element equals and hashes like its Fraction
+            q = expected[op][0] if expected[op] else Fraction(0)
+            assert value == q and q == value and hash(value) == hash(q), op
+    assert (a == b) == (ra == rb)
+    for other in FIELDS.values():
+        if other is not field:
+            assert other.element(raw) != a and a != other.element(raw)
